@@ -369,11 +369,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
     injector = None
     if args.fault_plan:
-        if args.mode != "exact":
-            print("error: --fault-plan needs --mode exact (faults target "
-                  "the lane groups the tiered path never forms)",
-                  file=sys.stderr)
-            return 2
         from .faults import FaultInjector, FaultPlan
 
         injector = FaultInjector(FaultPlan.parse(args.fault_plan))
@@ -678,11 +673,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
     injector = None
     if args.fault_plan:
-        if args.mode != "exact":
-            print("error: --fault-plan needs --mode exact (faults target "
-                  "the lane groups the tiered path never forms)",
-                  file=sys.stderr)
-            return 2
         from .faults import FaultInjector, FaultPlan
 
         injector = FaultInjector(FaultPlan.parse(args.fault_plan))

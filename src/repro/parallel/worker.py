@@ -11,7 +11,7 @@ database payload.
 The scoring code path is deliberately the same one the serial pipeline
 runs: :meth:`InterTaskEngine.score_group` per lane group, exact
 :class:`ScanEngine` recompute for saturated lanes, and the checksum
-guard (:func:`repro.search.pipeline.guarded_transmit`) when a fault plan
+guard (:func:`repro.search.scan.guarded_transmit`) when a fault plan
 is active.  Fault decisions are a pure function of
 ``(plan.seed, unit, attempt)`` with ``unit`` being the *global* group
 index, so a fault fires (or not) identically whichever worker — or the
@@ -69,6 +69,17 @@ class EngineConfig:
     block_cols: int | None = None
     saturate_bits: int | None = None
     kernel: str = "python"
+
+    def build(self, alphabet) -> InterTaskEngine:
+        """The engine this configuration describes."""
+        return make_intertask_engine(
+            self.kernel,
+            alphabet=alphabet,
+            lanes=self.lanes,
+            profile=self.profile,
+            block_cols=self.block_cols,
+            saturate_bits=self.saturate_bits,
+        )
 
 
 @dataclass(frozen=True)
@@ -166,23 +177,6 @@ def ping() -> int:
     return _STATE["pid"]
 
 
-def _engine(cfg: EngineConfig, alphabet, engines: dict) -> InterTaskEngine:
-    """The engine for this configuration (cached per config in ``engines``)."""
-    key = (cfg, alphabet.letters)
-    eng = engines.get(key)
-    if eng is None:
-        eng = make_intertask_engine(
-            cfg.kernel,
-            alphabet=alphabet,
-            lanes=cfg.lanes,
-            profile=cfg.profile,
-            block_cols=cfg.block_cols,
-            saturate_bits=cfg.saturate_bits,
-        )
-        engines[key] = eng
-    return eng
-
-
 def _score_groups(task: ChunkTask, groups, units, engine, exact):
     """Score lane groups exactly like the serial pipeline's group loop.
 
@@ -191,7 +185,7 @@ def _score_groups(task: ChunkTask, groups, units, engine, exact):
     redone, cells)`` with ``positions`` being each lane's
     ``group.indices`` entry (caller-defined coordinate space).
     """
-    from ..search.pipeline import guarded_transmit
+    from ..search.scan import guarded_transmit, score_group_exact
 
     q = task.query
     prepared = engine._prepare(q, task.matrix)
@@ -207,24 +201,13 @@ def _score_groups(task: ChunkTask, groups, units, engine, exact):
         sat_holder = [0]
 
         def compute(group=group, sat_holder=sat_holder) -> np.ndarray:
-            g_scores, g_sat = engine.score_group(
-                q, group, task.matrix, task.gaps, _prepared=prepared
+            g_scores, sat_holder[0] = score_group_exact(
+                engine, exact, q, group, task.matrix, task.gaps, prepared
             )
-            for lane in g_sat:
-                seq = np.ascontiguousarray(
-                    group.codes[: int(group.lengths[lane]), lane]
-                )
-                g_scores[lane] = exact.score_pair(
-                    q, seq, task.matrix, task.gaps
-                ).score
-            sat_holder[0] = len(g_sat)
             return g_scores
 
-        if injector is None:
-            g_scores = compute()
-        else:
-            g_scores, redos = guarded_transmit(injector, unit, compute)
-            redone += redos
+        g_scores, redos = guarded_transmit(injector, unit, compute)
+        redone += redos
         saturated += sat_holder[0]
         positions.append(np.asarray(group.indices, dtype=np.int64))
         scores.append(np.asarray(g_scores, dtype=np.int64))
@@ -242,32 +225,19 @@ def _score_groups(task: ChunkTask, groups, units, engine, exact):
 def _score_stream(task: ChunkTask, engine: InterTaskEngine):
     """Score one streaming chunk exactly like the serial streamed scan.
 
-    The whole chunk goes through :meth:`InterTaskEngine.score_batch`
-    (saturated lanes recomputed exactly inside, as in the serial path)
-    and — under a fault plan — through one checksum-guarded transmit
-    whose unit id is the chunk's *global* chunk index
-    (``fault_unit_base``), so corruption decisions and redo counts
-    replay the serial scan bit for bit.
+    Both run :func:`repro.search.scan.score_stream_chunk`, with the
+    chunk's *global* chunk index (``fault_unit_base``) as the fault
+    unit, so corruption decisions and redo counts replay the serial
+    scan bit for bit.
     """
-    from ..search.pipeline import guarded_transmit
+    from ..search.scan import score_stream_chunk
 
     seqs = [np.asarray(s, dtype=np.uint8) for s in task.seqs]
-    batch_holder: list = []
-
-    def compute() -> np.ndarray:
-        batch = engine.score_batch(task.query, seqs, task.matrix, task.gaps)
-        batch_holder.append(batch)
-        return batch.scores
-
-    if task.plan is None:
-        scores = compute()
-        redone = 0
-    else:
-        injector = FaultInjector(task.plan)
-        scores, redone = guarded_transmit(
-            injector, task.fault_unit_base, compute
-        )
-    batch = batch_holder[-1]
+    injector = FaultInjector(task.plan) if task.plan is not None else None
+    scores, batch, redone = score_stream_chunk(
+        engine, task.query, seqs, task.matrix, task.gaps,
+        injector, task.fault_unit_base,
+    )
     positions = task.base_index + np.arange(len(seqs), dtype=np.int64)
     return (
         positions,
@@ -301,7 +271,10 @@ def run_chunk(
             f"kind={task.kind!r} tasks)"
         )
     alphabet = task.matrix.alphabet
-    engine = _engine(task.engine, alphabet, engines)
+    key = (task.engine, alphabet.letters)  # engines cached per config
+    if key not in engines:
+        engines[key] = task.engine.build(alphabet)
+    engine = engines[key]
     exact = ScanEngine(alphabet)
 
     if task.kind == "stream":

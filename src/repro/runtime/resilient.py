@@ -273,7 +273,8 @@ class ResilientHybridExecutor:
         from ..db.preprocess import split_database
         from ..search.api import SearchOptions
         from ..search.pipeline import SearchPipeline
-        from ..search.result import Hit, SearchResult
+        from ..search.result import SearchResult
+        from ..search.scan import merge_by_header, rank_hits
 
         if len(database) == 0:
             raise PipelineError("cannot search an empty database")
@@ -365,25 +366,8 @@ class ResilientHybridExecutor:
 
             # --- merge (step 4), keyed by the unique headers ----------
             with tracer.span("resilient.merge"):
-                index_of = {h: i for i, h in enumerate(database.headers)}
-                if len(index_of) != len(database):
-                    raise PipelineError(
-                        "resilient merge requires unique database headers"
-                    )
-                scores = np.zeros(len(database), dtype=np.int64)
-                for part_db, part_scores in parts:
-                    for h, s in zip(part_db.headers, part_scores):
-                        scores[index_of[h]] = s
-                ranked = np.argsort(-scores, kind="stable")
-                hits = [
-                    Hit(
-                        index=int(i),
-                        header=database.headers[int(i)],
-                        length=len(database.sequences[int(i)]),
-                        score=int(scores[int(i)]),
-                    )
-                    for i in ranked[: max(top_k, 0)]
-                ]
+                scores = merge_by_header(database, parts, owner="resilient")
+                hits = rank_hits(scores, database, top_k)
             total = max(host_s, device_end) + reclaim_s
             self._record_fault_metrics(faults, len(reclaimed))
             result = SearchResult(

@@ -13,6 +13,7 @@ from .result import Hit, SearchResult
 from .pipeline import SearchPipeline
 from .gcups import gcups, Stopwatch
 from .journal import ScanJournal, ScanState
+from .scan import ScanContext, TopK, rank_hits
 from .streaming import PartialResult, StreamingSearch, StreamingResult
 from .sharded import ShardedStreamingSearch
 from .tiered import (
@@ -60,6 +61,9 @@ __all__ = [
     "TieredSearchResult",
     "ScanJournal",
     "ScanState",
+    "ScanContext",
+    "TopK",
+    "rank_hits",
     "MultiQueryExecutor",
     "MultiQueryOutcome",
     "HybridSearchPipeline",

@@ -103,6 +103,7 @@ class SearchOptions:
         Residue alphabet.
     injector:
         Optional fault injector; payloads then cross a checksum guard.
+        Exhaustive scans only: rejected together with a tiered ``mode``.
     deadline:
         Optional end-to-end :class:`~repro.faults.Deadline`.  The
         resident pipeline raises
@@ -151,6 +152,12 @@ class SearchOptions:
             raise PipelineError(
                 f"mode must be 'exact', 'sensitive' or 'fast', "
                 f"got {self.mode!r}"
+            )
+        if self.mode != "exact" and self.injector is not None:
+            raise PipelineError(
+                f"fault injection is not supported with mode={self.mode!r} "
+                f"(faults target the lane groups the tiered path never "
+                f"forms) — use mode='exact'"
             )
         Schedule.parse(self.schedule)  # fail fast on bad schedule specs
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core.engine import as_codes
 from ..db.database import SequenceDatabase
 from ..db.preprocess import split_database
@@ -29,6 +27,7 @@ from ..runtime.pcie import PCIE_GEN2_X16, PCIeLink
 from .api import SearchOptions, unify_options
 from .pipeline import SearchPipeline
 from .result import Hit, SearchResult
+from .scan import merge_by_header, rank_hits
 
 __all__ = ["HybridSearchResult", "HybridSearchPipeline"]
 
@@ -253,39 +252,21 @@ class HybridSearchPipeline:
         self, query_name, q, database, host_db, dev_db,
         host_result, dev_result, top_k,
     ) -> SearchResult:
-        scores = np.zeros(len(database), dtype=np.int64)
-        # Scores come back in each part's order; map through headers,
-        # which are unique per entry in all the library's databases.
-        index_of = {h: i for i, h in enumerate(database.headers)}
-        if len(index_of) != len(database):
-            raise PipelineError(
-                "hybrid merge requires unique database headers"
-            )
-        wall = 0.0
-        for part_db, part_result in (
-            (host_db, host_result), (dev_db, dev_result),
-        ):
-            if part_result is None:
-                continue
-            wall += part_result.wall_seconds
-            for h, s in zip(part_db.headers, part_result.scores):
-                scores[index_of[h]] = s
-        ranked = np.argsort(-scores, kind="stable")
-        hits = [
-            Hit(
-                index=int(i),
-                header=database.headers[int(i)],
-                length=len(database.sequences[int(i)]),
-                score=int(scores[int(i)]),
-            )
-            for i in ranked[: max(top_k, 0)]
+        parts = [
+            (part_db, part_result)
+            for part_db, part_result in ((host_db, host_result),
+                                         (dev_db, dev_result))
+            if part_result is not None
         ]
+        scores = merge_by_header(
+            database, [(db, r.scores) for db, r in parts], owner="hybrid"
+        )
         return SearchResult(
             query_name=query_name,
             query_length=len(q),
             database_name=database.name,
             scores=scores,
-            hits=hits,
+            hits=rank_hits(scores, database, top_k),
             cells=len(q) * database.total_residues,
-            wall_seconds=wall,
+            wall_seconds=sum(r.wall_seconds for _, r in parts),
         )

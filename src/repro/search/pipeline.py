@@ -10,61 +10,24 @@ and the paper's GCUPS accounting.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from ..core.engine import as_codes
+from ..core.scan import ScanEngine
 from ..core.traceback import align_pair
-from ..core.vectorized import DEFAULT_LANES, make_intertask_engine
 from ..db.database import SequenceDatabase
 from ..db.preprocess import PreprocessedDatabase, preprocess_database
 from ..devices.openmp import ParallelFor, Schedule
-from ..exceptions import FaultInjected, ParallelError, PipelineError
-from ..faults.injection import FaultInjector, payload_checksum
+from ..exceptions import ParallelError, PipelineError
 from ..metrics.counters import METRICS, MetricsRegistry
 from ..obs.tracer import get_tracer
 from ..perfmodel.model import DevicePerformanceModel, RunConfig, Workload
 from .api import SearchOptions, unify_options
 from .gcups import Stopwatch
-from .result import Hit, SearchResult
+from .result import SearchResult
+from .scan import ScanContext, guarded_transmit, rank_hits, score_group_exact
 
 __all__ = ["SearchPipeline"]
-
-#: Recomputations allowed per work unit before a persistent corruption
-#: is treated as unrecoverable.
-MAX_CORRUPTION_REDOS = 8
-
-
-def guarded_transmit(
-    injector: FaultInjector,
-    unit: int,
-    compute: Callable[[], np.ndarray],
-) -> tuple[np.ndarray, int]:
-    """Score a unit, ship it through the injector, verify the checksum.
-
-    Each payload carries the checksum computed at its source; a mismatch
-    on receipt means the transmission was corrupted, and the unit is
-    *recomputed* (never patched from the tainted copy) and re-shipped.
-    Returns ``(verified_scores, redo_count)``; raises
-    :class:`~repro.exceptions.FaultInjected` if corruption persists past
-    ``MAX_CORRUPTION_REDOS`` recomputations.
-    """
-    attempt = 0
-    received, declared = injector.transmit(unit, attempt, compute())
-    while payload_checksum(received) != declared:
-        attempt += 1
-        if attempt > MAX_CORRUPTION_REDOS:
-            raise FaultInjected(
-                f"unit {unit} still corrupted after "
-                f"{MAX_CORRUPTION_REDOS} recomputations",
-                kind="corrupt",
-            )
-        get_tracer().event(
-            "fault.corrupt.redo", kind="corrupt", unit=unit, attempt=attempt
-        )
-        received, declared = injector.transmit(unit, attempt, compute())
-    return received, attempt
 
 
 class SearchPipeline:
@@ -123,24 +86,19 @@ class SearchPipeline:
     ) -> None:
         opts = unify_options(options, legacy, owner="SearchPipeline")
         self.options = opts
-        self.matrix = opts.resolved_matrix()
-        self.gaps = opts.resolved_gaps()
-        self.kernel = opts.resolved_kernel()
-        self.lanes = opts.resolved_lanes(DEFAULT_LANES[self.kernel])
+        self.context = ctx = ScanContext.resolve(
+            opts, block_cols=block_cols, saturate_bits=saturate_bits
+        )
+        self.matrix, self.gaps, self.alphabet = (
+            ctx.matrix, ctx.gaps, ctx.alphabet
+        )
+        self.kernel, self.lanes = ctx.kernel, ctx.lanes
         self.schedule = Schedule.parse(opts.schedule)
         self.threads = opts.threads
         self.device_model = device_model
-        self.alphabet = opts.alphabet
         self.injector = opts.injector
         self.metrics = metrics if metrics is not None else METRICS
-        self.engine = make_intertask_engine(
-            self.kernel,
-            alphabet=opts.alphabet,
-            lanes=self.lanes,
-            profile=opts.profile,
-            block_cols=block_cols,
-            saturate_bits=saturate_bits,
-        )
+        self.engine = ctx.make_engine()
         if workers is not None and int(workers) < 1:
             raise PipelineError(
                 f"worker count must be positive, got {workers}"
@@ -202,27 +160,18 @@ class SearchPipeline:
         ``None`` when the pool cannot run — the caller then falls back
         to the in-process group loop, which computes identical scores.
         """
-        from ..parallel.worker import EngineConfig
-
         try:
             backend = self._ensure_backend(database, pre)
         except ParallelError as exc:
             self._note_fallback(tracer, exc)
             return None
-        cfg = EngineConfig(
-            lanes=self.lanes,
-            profile=self.engine.profile.value,
-            block_cols=self.engine.block_cols,
-            saturate_bits=self.engine.saturate_bits,
-            kernel=self.kernel,
-        )
         plan = self.injector.plan if self.injector is not None else None
         try:
             # DeadlineExceeded deliberately propagates: an expired
             # deadline must never trigger the in-process fallback (it
             # would just blow the deadline further).
             scores, saturated, redone, results = backend.score_groups(
-                q, self.matrix, self.gaps, cfg,
+                q, self.matrix, self.gaps, self.context.engine_config,
                 plan=plan, chunk_size=self.parallel_chunk_size,
                 deadline=self.options.deadline,
             )
@@ -355,23 +304,13 @@ class SearchPipeline:
                 sat_counts: dict[int, int] = {}
                 corrupted_redone = 0
                 prepared = self.engine._prepare(q, self.matrix)
+                exact = ScanEngine(self.alphabet)
 
                 def compute_group(g: int) -> np.ndarray:
-                    scores, sat = self.engine.score_group(
-                        q, groups[g], self.matrix, self.gaps,
-                        _prepared=prepared,
+                    scores, sat_counts[g] = score_group_exact(
+                        self.engine, exact, q, groups[g], self.matrix,
+                        self.gaps, prepared,
                     )
-                    if sat:
-                        from ..core.scan import ScanEngine
-
-                        exact = ScanEngine(self.alphabet)
-                        for lane in sat:
-                            idx = int(groups[g].indices[lane])
-                            scores[lane] = exact.score_pair(
-                                q, pre.database.sequences[idx],
-                                self.matrix, self.gaps,
-                            ).score
-                    sat_counts[g] = len(sat)
                     return scores
 
                 deadline = self.options.deadline
@@ -380,13 +319,10 @@ class SearchPipeline:
                     nonlocal corrupted_redone
                     if deadline is not None:
                         deadline.check(f"group {g}")
-                    if self.injector is None:
-                        scores = compute_group(g)
-                    else:
-                        scores, redos = guarded_transmit(
-                            self.injector, g, lambda: compute_group(g)
-                        )
-                        corrupted_redone += redos
+                    scores, redos = guarded_transmit(
+                        self.injector, g, lambda: compute_group(g)
+                    )
+                    corrupted_redone += redos
                     sorted_scores[groups[g].indices] = scores
 
                 with tracer.span("pipeline.score") as sp:
@@ -427,30 +363,16 @@ class SearchPipeline:
                     scores = np.zeros(len(database), dtype=np.int64)
                     scores[order] = sorted_scores
                     # Step 4: rank descending (stable -> ties by database
-                    # order).
-                    ranked = np.argsort(-scores, kind="stable")
+                    # order); traceback only for the returned hits.
+                    hits = rank_hits(
+                        scores, database, top_k,
+                        align=(lambda i: align_pair(
+                            q, database.sequences[i], self.matrix,
+                            self.gaps, alphabet=self.alphabet,
+                        )) if traceback else None,
+                    )
 
             cells = len(q) * database.total_residues
-            hits: list[Hit] = []
-            for idx in ranked[: max(top_k, 0)]:
-                idx = int(idx)
-                alignment = (
-                    align_pair(
-                        q, database.sequences[idx], self.matrix, self.gaps,
-                        alphabet=self.alphabet,
-                    )
-                    if traceback
-                    else None
-                )
-                hits.append(
-                    Hit(
-                        index=idx,
-                        header=database.headers[idx],
-                        length=len(database.sequences[idx]),
-                        score=int(scores[idx]),
-                        alignment=alignment,
-                    )
-                )
 
             modeled = None
             if self.device_model is not None:

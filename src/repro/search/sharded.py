@@ -44,8 +44,9 @@ Resilience (this is the layer long scans ride on):
 
 from __future__ import annotations
 
-import heapq
 from itertools import islice
+
+import numpy as np
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -57,8 +58,8 @@ from ..obs.tracer import get_tracer
 from .api import SearchOptions
 from .gcups import Stopwatch
 from .journal import ScanJournal, ScanState, chain_record_digest
-from .result import Hit
-from .streaming import PartialResult, StreamingResult
+from .scan import ScanContext, TopK
+from .streaming import PartialResult, StreamingResult, _StreamEntrypoints
 
 __all__ = ["DEFAULT_SHARD_RESIDUES", "ShardedStreamingSearch"]
 
@@ -68,7 +69,7 @@ __all__ = ["DEFAULT_SHARD_RESIDUES", "ShardedStreamingSearch"]
 DEFAULT_SHARD_RESIDUES = 1_000_000
 
 
-class ShardedStreamingSearch:
+class ShardedStreamingSearch(_StreamEntrypoints):
     """Out-of-core top-k scan executed on a persistent worker pool.
 
     Parameters
@@ -78,7 +79,10 @@ class ShardedStreamingSearch:
         the per-task record batch (identical meaning to the serial
         :class:`~repro.search.StreamingSearch`), ``top_k`` the hits
         retained (``0`` = scores-only accounting, no hits), and
-        ``deadline`` (when set) bounds the scan end-to-end.
+        ``deadline`` (when set) bounds the scan end-to-end.  Only
+        ``mode="exact"`` is accepted: a tiered scan prunes most of the
+        stream before exact scoring and runs serially in
+        :class:`~repro.search.StreamingSearch`.
     workers:
         Real worker processes scoring chunks concurrently.
     shard_residues, shard_records:
@@ -127,13 +131,16 @@ class ShardedStreamingSearch:
                 f"worker count must be positive, got {workers}"
             )
         opts = options if options is not None else SearchOptions()
+        if opts.mode != "exact":
+            raise PipelineError(
+                f"the sharded scan is exhaustive; mode={opts.mode!r} runs "
+                f"in StreamingSearch, which never pools a tiered scan"
+            )
         self.options = opts
-        self.matrix = opts.resolved_matrix()
-        self.gaps = opts.resolved_gaps()
+        # The serial streamed scan's engine comes from the same
+        # resolution, so pooled and serial engines cannot drift apart.
+        self.context = ScanContext.resolve(opts)
         self.chunk_size = opts.chunk_size
-        self.top_k = opts.top_k
-        self.alphabet = opts.alphabet
-        self.injector = opts.injector
         self.workers = int(workers)
         if shard_residues is None and shard_records is None:
             shard_residues = DEFAULT_SHARD_RESIDUES
@@ -146,16 +153,6 @@ class ShardedStreamingSearch:
         self.max_heals = max_heals
         self.poison_threshold = poison_threshold
         self.metrics = metrics if metrics is not None else METRICS
-        from ..core.vectorized import DEFAULT_LANES
-        from ..parallel.worker import EngineConfig
-
-        # The serial streamed scan runs a default-profile, unblocked
-        # engine at the options' lane width — mirror it exactly,
-        # including the kernel and its kernel-specific default width.
-        kernel = opts.resolved_kernel()
-        self._engine_cfg = EngineConfig(
-            lanes=opts.resolved_lanes(DEFAULT_LANES[kernel]), kernel=kernel
-        )
         self._backend = None
 
     # ------------------------------------------------------------------
@@ -202,7 +199,7 @@ class ShardedStreamingSearch:
         """Yield shards, timing each read/encode leg (`shard.read`)."""
         source = iter_shards(
             records, self.spec,
-            alphabet=self.alphabet, align_records=self.chunk_size,
+            alphabet=self.context.alphabet, align_records=self.chunk_size,
         )
         while True:
             watch = Stopwatch()
@@ -226,7 +223,9 @@ class ShardedStreamingSearch:
         """One pool task per serial chunk of ``shard`` (non-blocking)."""
         from ..parallel.worker import ChunkTask
 
-        plan = self.injector.plan if self.injector is not None else None
+        ctx = self.context
+        injector = self.options.injector
+        plan = injector.plan if injector is not None else None
         tasks = []
         for off in range(0, shard.n_records, self.chunk_size):
             base = shard.base_index + off
@@ -235,9 +234,9 @@ class ShardedStreamingSearch:
                 chunk_id=unit,
                 kind="stream",
                 query=q,
-                matrix=self.matrix,
-                gaps=self.gaps,
-                engine=self._engine_cfg,
+                matrix=ctx.matrix,
+                gaps=ctx.gaps,
+                engine=ctx.engine_config,
                 seqs=tuple(shard.sequences[off:off + self.chunk_size]),
                 base_index=base,
                 plan=plan,
@@ -247,9 +246,9 @@ class ShardedStreamingSearch:
         return backend.submit_tasks_async(tasks), len(tasks)
 
     def _merge(
-        self, backend, shard: Shard, futures, heap, tracer, deadline
+        self, backend, shard: Shard, futures, topk: TopK, tracer, deadline
     ) -> tuple:
-        """Harvest ``shard``'s results and fold them into the heap."""
+        """Harvest ``shard``'s results and fold them into ``topk``."""
         watch = Stopwatch()
         with tracer.span("shard.score") as sp, watch:
             results = backend.collect(futures, deadline=deadline)
@@ -265,24 +264,16 @@ class ShardedStreamingSearch:
         with tracer.span("shard.merge") as sp, merge_watch:
             if sp:
                 sp.set_attributes(shard=shard.shard_id)
+            # collect() returns every chunk of the shard, in order.
+            scores = np.zeros(shard.n_records, dtype=np.int64)
             for res in results:
                 cells += res.cells
                 redone += res.redone
-                for pos, score in zip(res.positions, res.scores):
-                    idx = int(pos)
-                    scanned += 1
-                    local = idx - shard.base_index
-                    hit = Hit(
-                        index=idx,
-                        header=shard.headers[local],
-                        length=len(shard.sequences[local]),
-                        score=int(score),
-                    )
-                    entry = (int(score), -idx, hit)
-                    if len(heap) < self.top_k:
-                        heapq.heappush(heap, entry)
-                    elif heap and entry > heap[0]:
-                        heapq.heapreplace(heap, entry)
+                scanned += len(res.positions)
+                scores[res.positions - shard.base_index] = res.scores
+            topk.offer(
+                scores, shard.base_index, shard.headers, shard.sequences
+            )
         self.metrics.observe(
             "streaming.shard.merge.seconds", merge_watch.seconds
         )
@@ -329,24 +320,12 @@ class ShardedStreamingSearch:
         returned instead (``total_records``, when known, gives it a
         completion fraction).
         """
-        if self.options.mode != "exact":
-            # Tiered modes prune the stream before exact scoring; what
-            # survives is too little work to shard across a pool, so
-            # the scan routes to the in-driver tiered driver (survivor
-            # sets are chunking- and sharding-invariant).
-            from .tiered import TieredSearch
-
-            return TieredSearch(
-                self.options, metrics=self.metrics
-            ).search_records(
-                query, records, query_name=query_name,
-                database_name=database_name, top_k=top_k,
-                total_records=total_records,
-            )
-        q = as_codes(query, self.alphabet)
+        ctx = self.context
+        q = as_codes(query, ctx.alphabet)
         if top_k is None:
-            top_k = self.top_k
+            top_k = self.options.top_k
         deadline = self.options.deadline
+        injector = self.options.injector
         backend = self.start()
         fingerprint = None
         if self.journal is not None:
@@ -357,17 +336,15 @@ class ShardedStreamingSearch:
                 chunk_size=self.chunk_size,
                 max_residues=self.spec.max_residues,
                 max_records=self.spec.max_records,
-                matrix=self.matrix,
-                gaps=self.gaps,
-                alphabet=self.alphabet,
-                plan=(
-                    self.injector.plan if self.injector is not None else None
-                ),
+                matrix=ctx.matrix,
+                gaps=ctx.gaps,
+                alphabet=ctx.alphabet,
+                plan=injector.plan if injector is not None else None,
             )
         state = self._load_state(fingerprint)
         resume_records = state.records_done
         resume_shards = state.shards_merged
-        heap: list[tuple[int, int, Hit]] = state.heap_entries()
+        topk = TopK(top_k, state.heap_entries())
         records = iter(records)
         if resume_records:
             # Skip the journalled prefix, re-hashing it on the way: the
@@ -377,7 +354,7 @@ class ShardedStreamingSearch:
             consumed = 0
             digest = ""
             for item in islice(records, resume_records):
-                header, codes = encode_record(item, self.alphabet)
+                header, codes = encode_record(item, ctx.alphabet)
                 digest = chain_record_digest(digest, header, codes)
                 consumed += 1
             if consumed < resume_records:
@@ -396,117 +373,106 @@ class ShardedStreamingSearch:
         tracer = get_tracer()
         expired = False
 
-        # Temporarily pin the heap bound for _merge (kept on self to
-        # avoid threading it through every helper).
-        saved_top_k, self.top_k = self.top_k, top_k
-        try:
-            with tracer.span("streaming.search") as root:
-                if root:
-                    root.set_attributes(
-                        query_name=query_name, query_length=len(q),
-                        database=database_name, chunk_size=self.chunk_size,
-                        top_k=top_k, executor="sharded",
-                        workers=self.workers,
-                        shard_residues=self.spec.max_residues,
-                        shard_records=self.spec.max_records,
-                        resumed_records=resume_records,
-                    )
+        with tracer.span("streaming.search") as root:
+            if root:
+                root.set_attributes(
+                    query_name=query_name, query_length=len(q),
+                    database=database_name, chunk_size=self.chunk_size,
+                    top_k=top_k, executor="sharded",
+                    workers=self.workers,
+                    shard_residues=self.spec.max_residues,
+                    shard_records=self.spec.max_records,
+                    resumed_records=resume_records,
+                )
 
-                def fold(done_shard, futures, n_tasks):
-                    s, c, r = self._merge(
-                        backend, done_shard, futures, heap, tracer, deadline
-                    )
-                    state.scanned += s
-                    state.cells += c
-                    state.corrupted_redone += r
-                    state.chunks += n_tasks
-                    state.records_done += done_shard.n_records
-                    state.shards_merged += 1
-                    if self.journal is not None:
-                        digest = state.prefix_digest
-                        for header, codes in zip(
-                            done_shard.headers, done_shard.sequences
-                        ):
-                            digest = chain_record_digest(
-                                digest, header, codes
-                            )
-                        state.prefix_digest = digest
-                        state.heap = ScanState.pack_heap(heap)
-                        self.journal.save(fingerprint, state)
-                        self.metrics.increment("resume.saved")
+            def fold(done_shard, futures, n_tasks):
+                s, c, r = self._merge(
+                    backend, done_shard, futures, topk, tracer, deadline
+                )
+                state.scanned += s
+                state.cells += c
+                state.corrupted_redone += r
+                state.chunks += n_tasks
+                state.records_done += done_shard.n_records
+                state.shards_merged += 1
+                if self.journal is not None:
+                    digest = state.prefix_digest
+                    for header, codes in zip(
+                        done_shard.headers, done_shard.sequences
+                    ):
+                        digest = chain_record_digest(digest, header, codes)
+                    state.prefix_digest = digest
+                    state.heap = ScanState.pack_heap(topk.entries)
+                    self.journal.save(fingerprint, state)
+                    self.metrics.increment("resume.saved")
 
-                with watch:
-                    pending: tuple | None = None
-                    try:
-                        # Double buffer: while shard k executes on the
-                        # pool, the loop header reads/encodes shard k+1.
-                        for shard in self._read_shards(records, tracer):
-                            # Rebase a resumed stream to global
-                            # coordinates: record indices, shard ids and
-                            # fault units must match the uninterrupted
-                            # scan exactly.
-                            shard.shard_id += resume_shards
-                            shard.base_index += resume_records
-                            if pending is not None:
-                                fold(*pending)
-                            if deadline is not None:
-                                deadline.check("shard submission")
-                            futures, n_tasks = self._submit(
-                                backend, q, shard, deadline
-                            )
-                            pending = (shard, futures, n_tasks)
+            with watch:
+                pending: tuple | None = None
+                try:
+                    # Double buffer: while shard k executes on the
+                    # pool, the loop header reads/encodes shard k+1.
+                    for shard in self._read_shards(records, tracer):
+                        # Rebase a resumed stream to global
+                        # coordinates: record indices, shard ids and
+                        # fault units must match the uninterrupted
+                        # scan exactly.
+                        shard.shard_id += resume_shards
+                        shard.base_index += resume_records
                         if pending is not None:
                             fold(*pending)
-                    except DeadlineExceeded:
-                        expired = True
-                        if pending is not None:
-                            backend.cancel(pending[1])
+                        if deadline is not None:
+                            deadline.check("shard submission")
+                        futures, n_tasks = self._submit(
+                            backend, q, shard, deadline
+                        )
+                        pending = (shard, futures, n_tasks)
+                    if pending is not None:
+                        fold(*pending)
+                except DeadlineExceeded:
+                    expired = True
+                    if pending is not None:
+                        backend.cancel(pending[1])
 
-                if state.scanned == 0 and not expired:
-                    raise PipelineError("the record stream was empty")
-                if root:
-                    root.set_attributes(
-                        chunks=state.chunks, sequences=state.scanned,
-                        shards=state.shards_merged, partial=expired,
-                    )
-                self.metrics.increment("streaming.searches")
-                self.metrics.increment("streaming.chunks", state.chunks)
-                self.metrics.observe(
-                    "streaming.search.seconds", watch.seconds
+            if state.scanned == 0 and not expired:
+                raise PipelineError("the record stream was empty")
+            if root:
+                root.set_attributes(
+                    chunks=state.chunks, sequences=state.scanned,
+                    shards=state.shards_merged, partial=expired,
                 )
-                ranked = sorted(heap, key=lambda e: (-e[0], -e[1]))
-                common = dict(
-                    query_name=query_name,
-                    query_length=len(q),
-                    hits=[h for _, _, h in ranked],
-                    sequences_scanned=state.scanned,
-                    cells=state.cells,
-                    chunks=state.chunks,
-                    wall_seconds=watch.seconds,
-                    corrupted_redone=state.corrupted_redone,
-                    database_name=database_name,
+            self.metrics.increment("streaming.searches")
+            self.metrics.increment("streaming.chunks", state.chunks)
+            self.metrics.observe("streaming.search.seconds", watch.seconds)
+            common = dict(
+                query_name=query_name,
+                query_length=len(q),
+                hits=topk.hits(),
+                sequences_scanned=state.scanned,
+                cells=state.cells,
+                chunks=state.chunks,
+                wall_seconds=watch.seconds,
+                corrupted_redone=state.corrupted_redone,
+                database_name=database_name,
+            )
+            if expired:
+                self.metrics.increment("deadline.partial")
+                tracer.event(
+                    "deadline.expired", where="streaming.sharded",
+                    scanned=state.scanned,
+                    shards_merged=state.shards_merged,
                 )
-                if expired:
-                    self.metrics.increment("deadline.partial")
-                    tracer.event(
-                        "deadline.expired", where="streaming.sharded",
-                        scanned=state.scanned,
-                        shards_merged=state.shards_merged,
-                    )
-                    return PartialResult(
-                        **common,
-                        total_records=total_records,
-                        shards_merged=state.shards_merged,
-                        journal_path=(
-                            str(self.journal.path)
-                            if self.journal is not None else None
-                        ),
-                    )
-                if self.journal is not None:
-                    self.journal.clear()
-                return StreamingResult(**common)
-        finally:
-            self.top_k = saved_top_k
+                return PartialResult(
+                    **common,
+                    total_records=total_records,
+                    shards_merged=state.shards_merged,
+                    journal_path=(
+                        str(self.journal.path)
+                        if self.journal is not None else None
+                    ),
+                )
+            if self.journal is not None:
+                self.journal.clear()
+            return StreamingResult(**common)
 
     def resume(
         self,
@@ -533,36 +499,3 @@ class ShardedStreamingSearch:
             return self.search_records(query, records, **kwargs)
         finally:
             self.resume_enabled = saved
-
-    def search_fasta(
-        self, query, path, *, query_name: str = "query",
-        top_k: int | None = None,
-    ) -> StreamingResult:
-        """Stream a FASTA file from disk (never fully loaded)."""
-        from pathlib import Path
-
-        from ..db.fasta import read_fasta
-
-        return self.search_records(
-            query, read_fasta(path), query_name=query_name,
-            database_name=Path(path).stem, top_k=top_k,
-        )
-
-    def search_database(
-        self, query, database, *, query_name: str = "query",
-        top_k: int | None = None,
-    ) -> StreamingResult:
-        """Scan a resident :class:`~repro.db.SequenceDatabase`.
-
-        The entries stream through the shard pipeline in database
-        order without re-encoding; useful when a database object is
-        too large to preprocess/broadcast whole but already loaded.
-        """
-        return self.search_records(
-            query,
-            zip(database.headers, database.sequences),
-            query_name=query_name,
-            database_name=database.name,
-            top_k=top_k,
-            total_records=len(database),
-        )

@@ -9,12 +9,10 @@ the hit heap are ever resident.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from ..core.engine import as_codes
-from ..core.vectorized import DEFAULT_LANES, make_intertask_engine
 from ..db.fasta import FastaRecord
 from ..db.shards import encode_record
 from ..exceptions import ParallelError, PipelineError
@@ -23,6 +21,8 @@ from ..obs.tracer import get_tracer
 from .api import SearchOptions, unify_options
 from .gcups import Stopwatch, gcups
 from .result import Hit
+from .scan import ScanContext, TopK, score_stream_chunk
+from .tiered import TIER_PRESETS, TieredFilter, TierStats
 
 __all__ = ["StreamingResult", "PartialResult", "StreamingSearch"]
 
@@ -139,7 +139,36 @@ class PartialResult(StreamingResult):
         )
 
 
-class StreamingSearch:
+class _StreamEntrypoints:
+    """``search_fasta`` / ``search_database`` over ``search_records``."""
+
+    def search_fasta(
+        self, query, path, *, query_name: str = "query",
+        top_k: int | None = None,
+    ) -> StreamingResult:
+        """Stream a FASTA file from disk (never fully loaded)."""
+        from pathlib import Path
+
+        from ..db.fasta import read_fasta
+
+        return self.search_records(
+            query, read_fasta(path), query_name=query_name,
+            database_name=Path(path).stem, top_k=top_k,
+        )
+
+    def search_database(
+        self, query, database, *, query_name: str = "query",
+        top_k: int | None = None,
+    ) -> StreamingResult:
+        """Stream a resident :class:`~repro.db.SequenceDatabase`, in order."""
+        return self.search_records(
+            query, zip(database.headers, database.sequences),
+            query_name=query_name, database_name=database.name,
+            top_k=top_k, total_records=len(database),
+        )
+
+
+class StreamingSearch(_StreamEntrypoints):
     """Chunked scan keeping a bounded top-k heap.
 
     Parameters
@@ -194,12 +223,7 @@ class StreamingSearch:
                 f"worker count must be positive, got {workers}"
             )
         self.options = opts
-        self.matrix = opts.resolved_matrix()
-        self.gaps = opts.resolved_gaps()
-        self.chunk_size = opts.chunk_size
-        self.top_k = opts.top_k
-        self.alphabet = opts.alphabet
-        self.injector = opts.injector
+        self.context = ScanContext.resolve(opts)
         self.workers = int(workers)
         self.shard_residues = shard_residues
         self.shard_records = shard_records
@@ -207,23 +231,8 @@ class StreamingSearch:
         self.resume = bool(resume)
         self.chunk_timeout = chunk_timeout
         self.metrics = metrics if metrics is not None else METRICS
-        self.kernel = opts.resolved_kernel()
-        self.engine = make_intertask_engine(
-            self.kernel,
-            alphabet=opts.alphabet,
-            lanes=opts.resolved_lanes(DEFAULT_LANES[self.kernel]),
-        )
+        self.engine = self.context.make_engine()
         self._sharded = None
-        self._tiered = None
-
-    # ------------------------------------------------------------------
-    def _tiered_executor(self):
-        """The lazily built tiered scan (``mode != "exact"`` only)."""
-        if self._tiered is None:
-            from .tiered import TieredSearch
-
-            self._tiered = TieredSearch(self.options, metrics=self.metrics)
-        return self._tiered
 
     # ------------------------------------------------------------------
     def _sharded_driver(self):
@@ -275,21 +284,17 @@ class StreamingSearch:
         accounting, no ranked hits).  ``total_records`` (when known)
         only annotates a deadline-truncated :class:`PartialResult` with
         its completion fraction.
+
+        A tiered ``mode`` runs the seed -> verify -> rescore funnel on
+        each chunk in place of the exhaustive scorer.  Its filter is
+        per-sequence deterministic, so the top-k is chunking-invariant;
+        what survives is too little work to feed a pool, so tiered
+        scans always run here, whatever ``workers`` says.
         """
+        opts, ctx = self.options, self.context
         if top_k is None:
-            top_k = self.top_k
-        if self.options.mode != "exact":
-            # Tiered modes prune most of the stream before any exact
-            # scoring; the remaining work is too small to feed a pool,
-            # so both the serial and the sharded spelling route to the
-            # in-driver tiered scan (survivor sets — and therefore the
-            # top-k — are chunking-invariant).
-            return self._tiered_executor().search_records(
-                query, records, query_name=query_name,
-                database_name=database_name, top_k=top_k,
-                total_records=total_records,
-            )
-        if self.workers > 1:
+            top_k = opts.top_k
+        if self.workers > 1 and opts.mode == "exact":
             try:
                 driver = self._sharded_driver()
                 # Start the pool before touching the stream so a failed
@@ -307,16 +312,10 @@ class StreamingSearch:
                     database_name=database_name, top_k=top_k,
                     total_records=total_records,
                 )
-        deadline = self.options.deadline
-        q = as_codes(query, self.alphabet)
-        # Min-heap of (score, -index, hit): smallest retained hit on top;
-        # on score ties the later record loses.
-        heap: list[tuple[int, int, Hit]] = []
-        scanned = 0
-        cells = 0
-        chunks = 0
-        corrupted_redone = 0
-        batch = None
+        deadline = opts.deadline
+        q = as_codes(query, ctx.alphabet)
+        topk = TopK(top_k)
+        scanned = cells = chunks = corrupted_redone = 0
         watch = Stopwatch()
         tracer = get_tracer()
 
@@ -324,12 +323,19 @@ class StreamingSearch:
             if root:
                 root.set_attributes(
                     query_name=query_name, query_length=len(q),
-                    database=database_name, chunk_size=self.chunk_size,
-                    top_k=top_k,
+                    database=database_name, chunk_size=opts.chunk_size,
+                    top_k=top_k, mode=opts.mode,
                 )
             expired = False
             with watch:
-                for chunk in _chunked(records, self.chunk_size):
+                filt = stats = None
+                if opts.mode != "exact":
+                    filt = TieredFilter(
+                        q, ctx.matrix, ctx.gaps, TIER_PRESETS[opts.mode],
+                        alphabet=ctx.alphabet,
+                    )
+                    stats = TierStats(mode=opts.mode)
+                for chunk in _chunked(records, opts.chunk_size):
                     if deadline is not None and deadline.expired:
                         # Whole-chunk truncation: everything merged so
                         # far is exactly the scan of the stream prefix.
@@ -342,58 +348,48 @@ class StreamingSearch:
                                 chunk=chunks - 1, records=len(chunk)
                             )
                         pairs = [
-                            encode_record(item, self.alphabet)
+                            encode_record(item, ctx.alphabet)
                             for item in chunk
                         ]
                         headers = [h for h, _ in pairs]
                         seqs = [s for _, s in pairs]
-                        if self.injector is None:
-                            batch = self.engine.score_batch(
-                                q, seqs, self.matrix, self.gaps
+                        only = None
+                        if filt is None:
+                            scores, batch, redos = score_stream_chunk(
+                                self.engine, q, seqs, ctx.matrix, ctx.gaps,
+                                opts.injector, chunks - 1,
                             )
-                            scores = batch.scores
-                        else:
-                            from .pipeline import guarded_transmit
-
-                            def compute(seqs=seqs):
-                                nonlocal batch
-                                batch = self.engine.score_batch(
-                                    q, seqs, self.matrix, self.gaps
-                                )
-                                return batch.scores
-
-                            scores, redos = guarded_transmit(
-                                self.injector, chunks - 1, compute
-                            )
+                            cells += batch.cells
                             corrupted_redone += redos
-                        cells += batch.cells
-                        for header, seq, score in zip(headers, seqs, scores):
-                            idx = scanned
-                            scanned += 1
-                            hit = Hit(
-                                index=idx, header=header,
-                                length=len(seq), score=int(score),
+                        else:
+                            stats.candidates += len(seqs)
+                            stats.exhaustive_cells += len(q) * sum(
+                                len(s) for s in seqs
                             )
-                            entry = (int(score), -idx, hit)
-                            if len(heap) < top_k:
-                                heapq.heappush(heap, entry)
-                            elif heap and entry > heap[0]:
-                                heapq.heapreplace(heap, entry)
+                            scores, only = filt.funnel(
+                                seqs, self.engine, stats
+                            )
+                        topk.offer(scores, scanned, headers, seqs, only=only)
+                        scanned += len(seqs)
 
             if scanned == 0 and not expired:
                 raise PipelineError("the record stream was empty")
+            if stats is not None:
+                cells = stats.total_cells
+                stats.record(self.metrics, watch.seconds)
             if root:
                 root.set_attributes(
                     chunks=chunks, sequences=scanned, partial=expired
                 )
+                if stats is not None:
+                    root.set_attributes(**stats.span_attributes())
             self.metrics.increment("streaming.searches")
             self.metrics.increment("streaming.chunks", chunks)
             self.metrics.observe("streaming.search.seconds", watch.seconds)
-            ranked = sorted(heap, key=lambda e: (-e[0], -e[1]))
             common = dict(
                 query_name=query_name,
                 query_length=len(q),
-                hits=[h for _, _, h in ranked],
+                hits=topk.hits(),
                 sequences_scanned=scanned,
                 cells=cells,
                 chunks=chunks,
@@ -409,38 +405,6 @@ class StreamingSearch:
                 )
                 return PartialResult(**common, total_records=total_records)
             return StreamingResult(**common)
-
-    def search_fasta(
-        self, query, path, *, query_name: str = "query",
-        top_k: int | None = None,
-    ) -> StreamingResult:
-        """Stream a FASTA file from disk (never fully loaded)."""
-        from pathlib import Path
-
-        from ..db.fasta import read_fasta
-
-        return self.search_records(
-            query, read_fasta(path), query_name=query_name,
-            database_name=Path(path).stem, top_k=top_k,
-        )
-
-    def search_database(
-        self, query, database, *, query_name: str = "query",
-        top_k: int | None = None,
-    ) -> StreamingResult:
-        """Scan a resident :class:`~repro.db.SequenceDatabase`.
-
-        Entries stream through the chunk (and, with ``workers > 1``,
-        shard) pipeline in database order without re-encoding.
-        """
-        return self.search_records(
-            query,
-            zip(database.headers, database.sequences),
-            query_name=query_name,
-            database_name=database.name,
-            top_k=top_k,
-            total_records=len(database),
-        )
 
 
 def _chunked(

@@ -34,17 +34,13 @@ with GCUPS-equivalent throughput.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from ..core.engine import as_codes
 from ..core.traceback import align_pair
-from ..core.vectorized import DEFAULT_LANES, make_intertask_engine
 from ..db.database import SequenceDatabase
-from ..db.shards import encode_record
 from ..exceptions import PipelineError
 from ..heuristic.extend import Seed, gapped_extend, ungapped_extend
 from ..heuristic.kmer import KmerWordCoder, build_query_word_table
@@ -52,8 +48,8 @@ from ..metrics.counters import METRICS, MetricsRegistry
 from ..obs.tracer import get_tracer
 from .api import SearchOptions, unify_options
 from .gcups import Stopwatch
-from .result import Hit, SearchResult
-from .streaming import PartialResult, StreamingResult, _chunked
+from .result import SearchResult
+from .scan import ScanContext, rank_hits
 
 __all__ = [
     "TIER_PRESETS",
@@ -141,6 +137,26 @@ class TierStats:
             return 0.0
         return 1.0 - self.total_cells / self.exhaustive_cells
 
+    def record(self, metrics: MetricsRegistry, seconds: float) -> None:
+        """Add this search's funnel to the ``tiered.*`` metrics."""
+        metrics.increment("tiered.searches")
+        metrics.increment("tiered.candidates", self.candidates)
+        metrics.increment("tiered.seed.survivors", self.seed_survivors)
+        metrics.increment("tiered.verify.survivors", self.verify_survivors)
+        metrics.increment("tiered.seed.cells", self.seed_cells)
+        metrics.increment("tiered.verify.cells", self.verify_cells)
+        metrics.increment("tiered.rescore.cells", self.rescore_cells)
+        metrics.observe("tiered.search.seconds", seconds)
+        metrics.set_gauge("tiered.last.cells_saved", self.cells_saved)
+
+    def span_attributes(self) -> dict:
+        """The funnel summary a search's root span carries."""
+        return {
+            "seed_survivors": self.seed_survivors,
+            "verify_survivors": self.verify_survivors,
+            "cells_saved": round(self.cells_saved, 4),
+        }
+
     def to_dict(self) -> dict:
         """Plain-JSON form (rides in result provenance and the wire)."""
         return {
@@ -184,13 +200,15 @@ class TieredSearchResult(SearchResult):
 
 
 class TieredFilter:
-    """Stages 1 and 2 for one query: deterministic per sequence.
+    """The seed -> verify -> rescore funnel for one query.
 
     The query word table (with neighbourhoods) is built once; each
     database sequence is then classified independently — the filter
     decision for a sequence never depends on its neighbours, so any
     chunking or sharding of the stream leaves the survivor set (and
-    therefore the final ranking) unchanged.
+    therefore the final ranking) unchanged.  :meth:`funnel` runs all
+    three stages over one batch: the whole resident database, or one
+    chunk of a streamed scan.
     """
 
     def __init__(
@@ -270,26 +288,83 @@ class TieredFilter:
         )
         return ext.score, ext.cells
 
-    def survives(self, seq: np.ndarray) -> tuple[bool, int, int]:
-        """Both stages for one sequence.
+    def funnel(
+        self, seqs, engine, stats: TierStats, *, deadline=None
+    ) -> tuple[np.ndarray, list[int]]:
+        """All three stages over ``seqs``: ``(scores, finalists)``.
 
-        Returns ``(rescore?, seed_cells, verify_cells)`` — the one-call
-        form the streaming drivers use per record.
+        ``finalists`` are the positions in ``seqs`` that survived to
+        exact rescoring with ``engine``; ``scores`` holds their exact SW
+        scores and 0 for every pruned sequence.  Stage counts and cells
+        accumulate into ``stats``.  ``deadline`` (when given) is checked
+        between stages and every 256 sequences while seeding.
         """
-        best, best_seed, seed_cells = self.seed(seq)
-        if best is None:
-            return False, seed_cells, 0
-        score, verify_cells = self.verify(seq, best_seed, best)
-        return score >= self.preset.verify_min_score, seed_cells, verify_cells
+        tracer = get_tracer()
+        # Stage 1: seed every sequence.
+        survivors: list[tuple[int, Seed, object]] = []
+        cells = 0
+        with tracer.span("tiered.seed") as sp:
+            for idx, seq in enumerate(seqs):
+                if deadline is not None and idx % 256 == 0:
+                    deadline.check("tiered seed stage")
+                best, best_seed, seed_cells = self.seed(seq)
+                cells += seed_cells
+                if best is not None:
+                    survivors.append((idx, best_seed, best))
+            stats.seed_cells += cells
+            stats.seed_survivors += len(survivors)
+            if sp:
+                sp.set_attributes(
+                    candidates=len(seqs), survivors=len(survivors),
+                    cells=cells,
+                )
+        # Stage 2: banded verification of seed survivors.
+        finalists: list[int] = []
+        cells = 0
+        with tracer.span("tiered.verify") as sp:
+            for idx, seed, best in survivors:
+                if deadline is not None:
+                    deadline.check("tiered verify stage")
+                score, verify_cells = self.verify(seqs[idx], seed, best)
+                cells += verify_cells
+                if score >= self.preset.verify_min_score:
+                    finalists.append(idx)
+            stats.verify_cells += cells
+            stats.verify_survivors += len(finalists)
+            if sp:
+                sp.set_attributes(
+                    candidates=len(survivors), survivors=len(finalists),
+                    cells=cells,
+                )
+        # Stage 3: exact SW rescoring of the final candidates.
+        scores = np.zeros(len(seqs), dtype=np.int64)
+        cells = 0
+        with tracer.span("tiered.rescore") as sp:
+            if finalists:
+                if deadline is not None:
+                    deadline.check("tiered rescore stage")
+                batch = engine.score_batch(
+                    self.query, [seqs[i] for i in finalists],
+                    self.matrix, self.gaps,
+                )
+                scores[finalists] = batch.scores
+                cells = batch.cells
+            stats.rescore_cells += cells
+            if sp:
+                sp.set_attributes(candidates=len(finalists), cells=cells)
+        return scores, finalists
 
 
 class TieredSearch:
-    """The tiered executor behind ``SearchOptions.mode != "exact"``.
+    """The resident tiered executor behind ``SearchOptions.mode != "exact"``.
 
     Accepts the same :class:`~repro.search.SearchOptions` vocabulary as
-    every other entrypoint; ``mode`` selects the preset.  Fault
-    injection is an exhaustive-path feature (faults are keyed on lane
-    groups the tiered path never forms) and is rejected up front.
+    every other entrypoint; ``mode`` selects the preset.  (Fault
+    injection is an exhaustive-path feature — faults are keyed on lane
+    groups the tiered path never forms — so ``SearchOptions`` rejects
+    it together with a tiered mode.)  Streamed tiered scans run the same
+    :meth:`TieredFilter.funnel` per chunk inside
+    :class:`~repro.search.StreamingSearch`.
     """
 
     def __init__(
@@ -305,45 +380,13 @@ class TieredSearch:
                 "TieredSearch requires mode='sensitive' or 'fast'; "
                 "mode='exact' is the exhaustive SearchPipeline"
             )
-        if opts.injector is not None:
-            raise PipelineError(
-                "fault injection is not supported on the tiered path — "
-                "use mode='exact'"
-            )
         self.options = opts
         self.mode = opts.mode
         self.preset = TIER_PRESETS[opts.mode]
-        self.matrix = opts.resolved_matrix()
-        self.gaps = opts.resolved_gaps()
-        self.alphabet = opts.alphabet
-        self.kernel = opts.resolved_kernel()
+        self.context = ScanContext.resolve(opts)
         self.metrics = metrics if metrics is not None else METRICS
-        self.engine = make_intertask_engine(
-            self.kernel,
-            alphabet=opts.alphabet,
-            lanes=opts.resolved_lanes(DEFAULT_LANES[self.kernel]),
-            profile=opts.profile,
-        )
+        self.engine = self.context.make_engine()
 
-    # ------------------------------------------------------------------
-    def _filter_for(self, q: np.ndarray) -> TieredFilter:
-        return TieredFilter(
-            q, self.matrix, self.gaps, self.preset, alphabet=self.alphabet
-        )
-
-    def _record_metrics(self, stats: TierStats, seconds: float) -> None:
-        m = self.metrics
-        m.increment("tiered.searches")
-        m.increment("tiered.candidates", stats.candidates)
-        m.increment("tiered.seed.survivors", stats.seed_survivors)
-        m.increment("tiered.verify.survivors", stats.verify_survivors)
-        m.increment("tiered.seed.cells", stats.seed_cells)
-        m.increment("tiered.verify.cells", stats.verify_cells)
-        m.increment("tiered.rescore.cells", stats.rescore_cells)
-        m.observe("tiered.search.seconds", seconds)
-        m.set_gauge("tiered.last.cells_saved", stats.cells_saved)
-
-    # ------------------------------------------------------------------
     def search(
         self,
         query,
@@ -366,11 +409,8 @@ class TieredSearch:
             raise PipelineError("cannot search an empty database")
         if top_k is None:
             top_k = self.options.top_k
-        q = as_codes(query, self.alphabet)
-        filt = self._filter_for(q)
-        deadline = self.options.deadline
-        stats = TierStats(mode=self.mode, candidates=len(database))
-        stats.exhaustive_cells = len(q) * database.total_residues
+        ctx = self.context
+        q = as_codes(query, ctx.alphabet)
         tracer = get_tracer()
         watch = Stopwatch()
 
@@ -382,92 +422,30 @@ class TieredSearch:
                     mode=self.mode,
                 )
             with watch:
-                # Stage 1: seed every sequence.
-                survivors: list[tuple[int, Seed, object]] = []
-                with tracer.span("tiered.seed") as sp:
-                    for idx, seq in enumerate(database.sequences):
-                        if deadline is not None and idx % 256 == 0:
-                            deadline.check("tiered seed stage")
-                        best, best_seed, cells = filt.seed(seq)
-                        stats.seed_cells += cells
-                        if best is not None:
-                            survivors.append((idx, best_seed, best))
-                    stats.seed_survivors = len(survivors)
-                    if sp:
-                        sp.set_attributes(
-                            candidates=stats.candidates,
-                            survivors=stats.seed_survivors,
-                            cells=stats.seed_cells,
-                        )
-                # Stage 2: banded verification of seed survivors.
-                finalists: list[int] = []
-                with tracer.span("tiered.verify") as sp:
-                    for idx, seed, best in survivors:
-                        if deadline is not None:
-                            deadline.check("tiered verify stage")
-                        score, cells = filt.verify(
-                            database.sequences[idx], seed, best
-                        )
-                        stats.verify_cells += cells
-                        if score >= self.preset.verify_min_score:
-                            finalists.append(idx)
-                    stats.verify_survivors = len(finalists)
-                    if sp:
-                        sp.set_attributes(
-                            candidates=stats.seed_survivors,
-                            survivors=stats.verify_survivors,
-                            cells=stats.verify_cells,
-                        )
-                # Stage 3: exact SW rescoring of the final candidates.
-                scores = np.zeros(len(database), dtype=np.int64)
-                with tracer.span("tiered.rescore") as sp:
-                    if finalists:
-                        if deadline is not None:
-                            deadline.check("tiered rescore stage")
-                        batch = self.engine.score_batch(
-                            q,
-                            [database.sequences[i] for i in finalists],
-                            self.matrix, self.gaps,
-                        )
-                        scores[finalists] = batch.scores
-                        stats.rescore_cells = batch.cells
-                    if sp:
-                        sp.set_attributes(
-                            candidates=stats.verify_survivors,
-                            cells=stats.rescore_cells,
-                        )
+                # Building the query word table is part of the search.
+                filt = TieredFilter(
+                    q, ctx.matrix, ctx.gaps, self.preset,
+                    alphabet=ctx.alphabet,
+                )
+                stats = TierStats(
+                    mode=self.mode, candidates=len(database),
+                    exhaustive_cells=len(q) * database.total_residues,
+                )
+                scores, finalists = filt.funnel(
+                    database.sequences, self.engine, stats,
+                    deadline=self.options.deadline,
+                )
+                eligible = np.zeros(len(database), dtype=bool)
+                eligible[finalists] = True
+                hits = rank_hits(
+                    scores, database, top_k, eligible=eligible,
+                    align=(lambda i: align_pair(
+                        q, database.sequences[i], ctx.matrix, ctx.gaps,
+                        alphabet=ctx.alphabet,
+                    )) if traceback else None,
+                )
 
-                # Rank exactly like the exhaustive pipeline (stable ->
-                # ties toward the earlier record), but only rescored
-                # sequences may appear as hits.
-                ranked = np.argsort(-scores, kind="stable")
-                final_set = set(finalists)
-                hits: list[Hit] = []
-                for idx in ranked:
-                    if len(hits) >= max(top_k, 0):
-                        break
-                    idx = int(idx)
-                    if idx not in final_set:
-                        continue
-                    alignment = (
-                        align_pair(
-                            q, database.sequences[idx], self.matrix,
-                            self.gaps, alphabet=self.alphabet,
-                        )
-                        if traceback
-                        else None
-                    )
-                    hits.append(
-                        Hit(
-                            index=idx,
-                            header=database.headers[idx],
-                            length=len(database.sequences[idx]),
-                            score=int(scores[idx]),
-                            alignment=alignment,
-                        )
-                    )
-
-            self._record_metrics(stats, watch.seconds)
+            stats.record(self.metrics, watch.seconds)
             result = TieredSearchResult(
                 query_name=query_name,
                 query_length=len(q),
@@ -481,151 +459,7 @@ class TieredSearch:
             )
             if root:
                 root.set_attributes(
-                    seed_survivors=stats.seed_survivors,
-                    verify_survivors=stats.verify_survivors,
-                    cells_saved=round(stats.cells_saved, 4),
-                    best_score=result.best_score(),
+                    **stats.span_attributes(), best_score=result.best_score()
                 )
                 result.trace = {"span_id": root.span_id, "span": root.name}
             return result
-
-    # ------------------------------------------------------------------
-    def search_records(
-        self,
-        query,
-        records: Iterable,
-        *,
-        query_name: str = "query",
-        database_name: str = "<stream>",
-        top_k: int | None = None,
-        total_records: int | None = None,
-    ) -> StreamingResult:
-        """Tiered scan over a record stream (bounded memory).
-
-        Chunking mirrors :class:`~repro.search.StreamingSearch`; because
-        the filter is per-sequence deterministic the survivor set — and
-        so the top-k — is chunking- and sharding-invariant.  Survivor
-        density after verification is typically a few percent, so the
-        exact rescoring batches are small and run in-driver; a worker
-        pool would idle on the pruned 90+%.  On deadline expiry a
-        :class:`~repro.search.PartialResult` over the merged prefix is
-        returned, exactly like the exhaustive streaming drivers.
-        """
-        if top_k is None:
-            top_k = self.options.top_k
-        deadline = self.options.deadline
-        q = as_codes(query, self.alphabet)
-        filt = self._filter_for(q)
-        chunk_size = self.options.chunk_size
-        stats = TierStats(mode=self.mode)
-        heap: list[tuple[int, int, Hit]] = []
-        scanned = 0
-        chunks = 0
-        watch = Stopwatch()
-        tracer = get_tracer()
-
-        with tracer.span("tiered.streaming.search") as root:
-            if root:
-                root.set_attributes(
-                    query_name=query_name, query_length=len(q),
-                    database=database_name, chunk_size=chunk_size,
-                    top_k=top_k, mode=self.mode,
-                )
-            expired = False
-            with watch:
-                for chunk in _chunked(records, chunk_size):
-                    if deadline is not None and deadline.expired:
-                        expired = True
-                        break
-                    chunks += 1
-                    with tracer.span("tiered.chunk") as sp:
-                        pairs = [
-                            encode_record(item, self.alphabet)
-                            for item in chunk
-                        ]
-                        base = scanned
-                        scanned += len(pairs)
-                        stats.candidates += len(pairs)
-                        finalists: list[int] = []
-                        for off, (_, seq) in enumerate(pairs):
-                            ok, seed_cells, verify_cells = filt.survives(seq)
-                            stats.seed_cells += seed_cells
-                            if verify_cells:
-                                stats.seed_survivors += 1
-                                stats.verify_cells += verify_cells
-                            if ok:
-                                finalists.append(off)
-                        stats.verify_survivors += len(finalists)
-                        if finalists:
-                            batch = self.engine.score_batch(
-                                q, [pairs[off][1] for off in finalists],
-                                self.matrix, self.gaps,
-                            )
-                            stats.rescore_cells += batch.cells
-                            for off, score in zip(finalists, batch.scores):
-                                idx = base + off
-                                hit = Hit(
-                                    index=idx,
-                                    header=pairs[off][0],
-                                    length=len(pairs[off][1]),
-                                    score=int(score),
-                                )
-                                entry = (int(score), -idx, hit)
-                                if len(heap) < top_k:
-                                    heapq.heappush(heap, entry)
-                                elif heap and entry > heap[0]:
-                                    heapq.heapreplace(heap, entry)
-                        stats.exhaustive_cells += len(q) * sum(
-                            len(s) for _, s in pairs
-                        )
-                        if sp:
-                            sp.set_attributes(
-                                chunk=chunks - 1, records=len(pairs),
-                                rescored=len(finalists),
-                            )
-
-            if scanned == 0 and not expired:
-                raise PipelineError("the record stream was empty")
-            if root:
-                root.set_attributes(
-                    chunks=chunks, sequences=scanned, partial=expired,
-                    seed_survivors=stats.seed_survivors,
-                    verify_survivors=stats.verify_survivors,
-                    cells_saved=round(stats.cells_saved, 4),
-                )
-            self._record_metrics(stats, watch.seconds)
-            self.metrics.increment("streaming.searches")
-            self.metrics.increment("streaming.chunks", chunks)
-            ranked = sorted(heap, key=lambda e: (-e[0], -e[1]))
-            common = dict(
-                query_name=query_name,
-                query_length=len(q),
-                hits=[h for _, _, h in ranked],
-                sequences_scanned=scanned,
-                cells=stats.total_cells,
-                chunks=chunks,
-                wall_seconds=watch.seconds,
-                database_name=database_name,
-            )
-            if expired:
-                self.metrics.increment("deadline.partial")
-                tracer.event(
-                    "deadline.expired", where="streaming.tiered",
-                    scanned=scanned,
-                )
-                return PartialResult(**common, total_records=total_records)
-            return StreamingResult(**common)
-
-    def search_database(
-        self, query, database, *, query_name: str = "query",
-        top_k: int | None = None,
-    ) -> StreamingResult:
-        """Tiered streamed scan of a resident database."""
-        return self.search_records(
-            query,
-            zip(database.headers, database.sequences),
-            query_name=query_name,
-            database_name=database.name,
-            top_k=top_k,
-            total_records=len(database),
-        )

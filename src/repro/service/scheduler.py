@@ -35,6 +35,7 @@ from ..runtime.pcie import PCIE_GEN2_X16, PCIeLink
 from ..search.api import SearchOptions
 from ..search.pipeline import SearchPipeline
 from ..search.result import Hit, SearchResult
+from ..search.scan import rank_hits
 
 __all__ = ["QueueSearchOutcome", "WorkQueueScheduler"]
 
@@ -211,7 +212,7 @@ class WorkQueueScheduler:
         replays the exact chunk-local fault-unit decisions — of the
         serial per-chunk pipeline.
         """
-        from ..parallel.worker import ChunkTask, EngineConfig
+        from ..parallel.worker import ChunkTask
 
         try:
             backend = self._ensure_backend(database)
@@ -238,13 +239,7 @@ class WorkQueueScheduler:
                 query=q,
                 matrix=pipe.matrix,
                 gaps=pipe.gaps,
-                engine=EngineConfig(
-                    lanes=pipe.lanes,
-                    profile=pipe.engine.profile.value,
-                    block_cols=pipe.engine.block_cols,
-                    saturate_bits=pipe.engine.saturate_bits,
-                    kernel=pipe.kernel,
-                ),
+                engine=pipe.context.engine_config,
                 positions=tuple(int(p) for p in inv[a.indices]),
                 plan=fault_plan,
             ))
@@ -404,16 +399,7 @@ class WorkQueueScheduler:
     ) -> QueueSearchOutcome:
         """Rank merged scores and attach the static reference makespan."""
         with tracer.span("queue.merge"):
-            ranked = np.argsort(-scores, kind="stable")
-            hits = [
-                Hit(
-                    index=int(i),
-                    header=database.headers[int(i)],
-                    length=len(database.sequences[int(i)]),
-                    score=int(scores[int(i)]),
-                )
-                for i in ranked[: max(top_k, 0)]
-            ]
+            hits = rank_hits(scores, database, top_k)
         static = HybridExecutor(
             self.host_model, self.device_model, link=self.link
         ).run(database.lengths, len(q), self.static_fraction)

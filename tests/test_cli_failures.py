@@ -120,6 +120,19 @@ class TestSearchFailures:
         assert_clean_failure(capsys, code)
 
 
+class TestTieredFaultPlanRejected:
+    """Fault injection needs an exhaustive scan: one check, one message."""
+
+    @pytest.mark.parametrize("command", ["search", "stream"])
+    def test_fault_plan_with_tiered_mode(self, capsys, fasta_path, command):
+        code = main([
+            command, "--query", QUERY, "--db-fasta", fasta_path,
+            "--mode", "fast", "--fault-plan", "seed=1,corrupt=0.1",
+        ])
+        captured = assert_clean_failure(capsys, code)
+        assert "fault injection" in captured.err
+
+
 class TestStreamResilienceFlags:
     """The happy paths of the new flags drive the real machinery."""
 

@@ -1,12 +1,10 @@
 #!/usr/bin/env python3
 """Validate a `repro trace` export against the checked-in JSON schema.
 
-A deliberately small, dependency-free validator: it implements just the
-JSON-Schema subset the schema in ``schemas/chrome_trace.schema.json``
-uses (``type``, ``const``, ``enum``, ``required``, ``properties``,
-``items``, ``oneOf``, ``minimum``) rather than pulling in the
-``jsonschema`` package.  CI runs this against the trace produced by the
-``repro trace`` smoke step.
+Reuses the dependency-free mini JSON-Schema validator from
+``tools/validate_wire.py`` (the subset ``schemas/chrome_trace.schema.json``
+uses) rather than pulling in the ``jsonschema`` package.  CI runs this
+against the trace produced by the ``repro trace`` smoke step.
 
 Usage::
 
@@ -24,71 +22,8 @@ import json
 import sys
 from pathlib import Path
 
-_TYPES = {
-    "object": dict,
-    "array": list,
-    "string": str,
-    "integer": int,
-    "number": (int, float),
-    "boolean": bool,
-    "null": type(None),
-}
-
-
-def _type_ok(value, expected: str) -> bool:
-    python_type = _TYPES[expected]
-    if isinstance(value, bool) and expected in ("integer", "number"):
-        return False
-    return isinstance(value, python_type)
-
-
-def validate(value, schema: dict, path: str = "$") -> list[str]:
-    """All schema violations of ``value`` (empty list == valid)."""
-    errors: list[str] = []
-
-    if "const" in schema and value != schema["const"]:
-        errors.append(f"{path}: expected {schema['const']!r}, got {value!r}")
-    if "enum" in schema and value not in schema["enum"]:
-        errors.append(f"{path}: {value!r} not one of {schema['enum']!r}")
-    if "type" in schema and not _type_ok(value, schema["type"]):
-        errors.append(
-            f"{path}: expected {schema['type']}, got {type(value).__name__}"
-        )
-        return errors  # structural checks below assume the right type
-
-    if "minimum" in schema and isinstance(value, (int, float)):
-        if not isinstance(value, bool) and value < schema["minimum"]:
-            errors.append(f"{path}: {value!r} < minimum {schema['minimum']}")
-
-    if isinstance(value, dict):
-        for key in schema.get("required", ()):
-            if key not in value:
-                errors.append(f"{path}: missing required key {key!r}")
-        for key, subschema in schema.get("properties", {}).items():
-            if key in value:
-                errors.extend(validate(value[key], subschema, f"{path}.{key}"))
-
-    if isinstance(value, list) and "items" in schema:
-        for i, item in enumerate(value):
-            errors.extend(validate(item, schema["items"], f"{path}[{i}]"))
-
-    if "oneOf" in schema:
-        failures: list[list[str]] = []
-        for variant in schema["oneOf"]:
-            sub = validate(value, variant, path)
-            if not sub:
-                break
-            failures.append(sub)
-        else:
-            title = ", ".join(
-                v.get("title", f"#{i}") for i, v in enumerate(schema["oneOf"])
-            )
-            errors.append(f"{path}: matches none of: {title}")
-            # Report the closest variant's errors to aid debugging.
-            closest = min(failures, key=len)
-            errors.extend(f"  {e}" for e in closest)
-
-    return errors
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from validate_wire import validate  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -112,7 +47,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{args.trace}: not valid JSON: {exc}", file=sys.stderr)
         return 1
 
-    errors = validate(document, schema)
+    errors = validate(document, schema, schema)
     if errors:
         for error in errors:
             print(f"{args.trace}: {error}", file=sys.stderr)

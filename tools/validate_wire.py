@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Validate repro.serve wire envelopes against the checked-in schema.
 
-The serving-layer sibling of ``tools/validate_trace.py``: the same
-deliberately small, dependency-free JSON-Schema subset (``type``,
-``const``, ``enum``, ``required``, ``properties``, ``items``,
-``oneOf``, ``minimum``) extended with local ``$ref``/``$defs``
+Home of the repo's one deliberately small, dependency-free JSON-Schema
+validator (``type``, ``const``, ``enum``, ``required``, ``properties``,
+``items``, ``oneOf``, ``minimum`` and local ``$ref``/``$defs``
 resolution, which ``schemas/search_wire.schema.json`` uses to keep one
-definition per wire object (options, request, hit, outcome).  CI runs
-this against envelopes captured during the serve smoke step.
+definition per wire object); ``tools/validate_trace.py`` and
+``tools/validate_bench.py`` import it.  CI runs this against envelopes
+captured during the serve smoke step.
 
 Usage::
 
