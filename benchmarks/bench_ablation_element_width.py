@@ -1,4 +1,4 @@
-"""Ablation — SIMD element width and the adaptive-precision ladder.
+"""Ablation — SIMD element width and the narrow-then-redo ladder.
 
 The paper's port computes in one element width; the systems it builds on
 (SWIPE [4], CUDASW++ [5]) run narrow elements with saturation-triggered
@@ -7,9 +7,12 @@ quantifies what that is worth on the paper's devices:
 
 * the *model* side: modelled GCUPS with 16-bit elements (twice the
   lanes) on both devices;
-* the *algorithmic* side: the real adaptive ladder's stage accounting on
-  a realistic batch — what fraction of cells actually runs narrow, and
-  the effective lane speedup after recomputation costs.
+* the *algorithmic* side: one real run of the vectorized engine's ladder
+  (int8 lanes, saturated lanes redone at full width) on a realistic
+  batch — what fraction of cells actually runs narrow, and the effective
+  lane speedup after recomputation costs.  On the Phi's 512-bit
+  registers the narrow pass runs 64 int8 lanes and the redo 16 int32
+  lanes.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.adaptive import AdaptivePrecisionEngine
+from repro.core import VectorizedEngine, get_engine
 from repro.db import SyntheticSwissProt
 from repro.metrics import format_table
 from repro.perfmodel import RunConfig, Workload
@@ -26,11 +29,17 @@ from repro.scoring import BLOSUM62, paper_gap_model
 from conftest import run_once
 
 QUERY_LEN = 5478
+REGISTER_BITS = 512
+NARROW_LANES = REGISTER_BITS // 8
+WIDE_LANES = REGISTER_BITS // 32
 
 
 @pytest.mark.benchmark(group="ablation-element-width")
 def test_element_width_ablation(benchmark, xeon_model, phi_model,
                                 swissprot_lengths, show):
+    db = SyntheticSwissProt().generate(scale=0.0002)
+    query = np.random.default_rng(1).integers(0, 20, 300).astype(np.uint8)
+
     def compute():
         model_side = {}
         for name, model, lanes32 in (
@@ -42,17 +51,24 @@ def test_element_width_ablation(benchmark, xeon_model, phi_model,
                 32: model.gcups(wl32, QUERY_LEN, RunConfig(element_bits=32)),
                 16: model.gcups(wl16, QUERY_LEN, RunConfig(element_bits=16)),
             }
-        # Real ladder accounting on a realistic mixed batch.
-        db = SyntheticSwissProt().generate(scale=0.0002)
-        rng = np.random.default_rng(1)
-        query = rng.integers(0, 20, 300).astype(np.uint8)
-        ladder = AdaptivePrecisionEngine(register_bits=512)
-        result = ladder.score_batch(
+        # One real ladder run on a realistic mixed batch.
+        engine = VectorizedEngine(lanes=NARROW_LANES, saturate_bits=8)
+        batch = engine.score_batch(
             query, db.sequences, BLOSUM62, paper_gap_model()
         )
-        return model_side, result
+        return model_side, batch
 
-    model_side, ladder = run_once(benchmark, compute)
+    model_side, batch = run_once(benchmark, compute)
+
+    # Every sequence runs narrow; the redo reruns the saturated ones.
+    narrow_cells = batch.cells
+    redo_cells = len(query) * sum(len(db.sequences[k]) for k in batch.saturated)
+    total_cells = narrow_cells + redo_cells
+    narrow_fraction = narrow_cells / total_cells
+    effective_lanes = (
+        NARROW_LANES * narrow_cells + WIDE_LANES * redo_cells
+    ) / total_cells
+    lane_speedup = effective_lanes / WIDE_LANES
 
     rows = [
         (dev, widths[32], widths[16], f"{widths[16] / widths[32]:.2f}x")
@@ -63,42 +79,35 @@ def test_element_width_ablation(benchmark, xeon_model, phi_model,
         rows,
         title="Ablation — modelled element-width effect (intrinsic-SP)",
     ))
-    stage_rows = [
-        (s.element_bits, s.lanes, s.sequences, s.saturated,
-         f"{s.cells / ladder.total_cells:.1%}")
-        for s in ladder.stages
-    ]
     show(format_table(
         ["bits", "lanes", "sequences", "saturated", "cells share"],
-        stage_rows,
-        title="Adaptive ladder stages (real run, 512-bit registers)",
+        [
+            (8, NARROW_LANES, len(db), len(batch.saturated),
+             f"{narrow_fraction:.1%}"),
+            (32, WIDE_LANES, len(batch.saturated), 0,
+             f"{redo_cells / total_cells:.1%}"),
+        ],
+        title="Narrow-then-redo ladder (real run, 512-bit registers)",
     ))
     show(
-        f"narrow fraction {ladder.narrow_fraction:.1%}; effective lane "
-        f"speedup over int32 lanes: "
-        f"{ladder.effective_lane_speedup(base_lanes=16):.2f}x"
+        f"narrow fraction {narrow_fraction:.1%}; effective lane "
+        f"speedup over int32 lanes: {lane_speedup:.2f}x"
     )
     benchmark.extra_info["model_gain"] = {
         dev: widths[16] / widths[32] for dev, widths in model_side.items()
     }
-    benchmark.extra_info["narrow_fraction"] = ladder.narrow_fraction
+    benchmark.extra_info["narrow_fraction"] = narrow_fraction
 
     # Twice the lanes buys real but sublinear gains (per-register
     # micro-ops and stalls don't halve).
     for dev, widths in model_side.items():
         assert 1.2 < widths[16] / widths[32] < 2.2, dev
     # On a realistic batch nearly everything resolves at 8 bits...
-    assert ladder.narrow_fraction > 0.9
+    assert narrow_fraction > 0.9
     # ...so the ladder's effective lane count approaches the 8-bit one.
-    assert ladder.effective_lane_speedup(base_lanes=16) > 3.0
+    assert lane_speedup > 3.0
     # And it is exact: spot-check one sequence against the scan engine.
-    from repro.core import get_engine
-
-    scan = get_engine("scan")
-    db = SyntheticSwissProt().generate(scale=0.0002)
-    rng = np.random.default_rng(1)
-    query = rng.integers(0, 20, 300).astype(np.uint8)
     k = 17
-    assert ladder.scores[k] == scan.score_pair(
+    assert batch.scores[k] == get_engine("scan").score_pair(
         query, db.sequences[k], BLOSUM62, paper_gap_model()
     ).score

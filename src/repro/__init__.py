@@ -36,7 +36,6 @@ Batched serving with shared options::
 
 from .alphabet import DNA, PROTEIN, Alphabet, encode, decode
 from .core import (
-    AdaptivePrecisionEngine,
     AlignmentEngine,
     BandedEngine,
     AlignmentResult,
@@ -177,7 +176,6 @@ __all__ = [
     "AlignmentEngine", "AlignmentResult", "BatchResult", "Traceback",
     "ScalarEngine", "ScanEngine", "DiagonalEngine", "StripedEngine",
     "InterTaskEngine", "VectorizedEngine", "BandedEngine",
-    "AdaptivePrecisionEngine",
     "LaneGroup", "build_lane_groups",
     "global_align", "semiglobal_align", "MiniBlast",
     "available_engines", "get_engine", "sw_score", "align_pair",

@@ -46,7 +46,6 @@ from .vectorized import (
 from .profiles import QueryProfile, SequenceProfile, ProfileKind
 from .traceback import align_pair
 from .banded import BandedEngine
-from .adaptive import AdaptivePrecisionEngine, LadderResult, LadderStage
 from .global_align import global_align, semiglobal_align
 from .suboptimal import waterman_eggert
 from .allpairs import score_all_pairs, similarity_matrix
@@ -77,9 +76,6 @@ __all__ = [
     "ProfileKind",
     "align_pair",
     "BandedEngine",
-    "AdaptivePrecisionEngine",
-    "LadderResult",
-    "LadderStage",
     "global_align",
     "semiglobal_align",
     "waterman_eggert",

@@ -21,10 +21,10 @@ Three of the paper's optimisations are implemented faithfully:
   the working set per pass fits a target cache; results are bit-identical
   to the unblocked computation, which the test suite verifies.
 
-Narrow SIMD elements are emulated with ``saturate_bits``: scores clamp at
-the element maximum like real saturating vector arithmetic, saturated
-lanes are flagged, and :meth:`InterTaskEngine.score_batch` recomputes
-them at full width — the SWIPE/SSW recompute strategy.
+Like the paper's port, every cell is computed in one wide integer width,
+so no lane ever saturates.  Narrow elements with a full-width redo of
+saturated lanes (the SWIPE/SSW strategy) live in the array-parallel
+sibling, :class:`~repro.core.vectorized.VectorizedEngine`.
 """
 
 from __future__ import annotations
@@ -147,8 +147,58 @@ def build_lane_groups(
     return groups
 
 
+class _LaneGroupEngine(AlignmentEngine):
+    """Batch and single-pair plumbing shared by the lane-group engines.
+
+    Subclasses set ``lanes`` and implement ``_prepare`` (the query- and
+    matrix-dependent tables every group reuses) and ``score_group``,
+    which returns a group's exact per-lane scores together with the
+    lanes it had to redo at full width.
+    """
+
+    lanes: int
+
+    def score_batch(
+        self,
+        query,
+        db_seqs,
+        matrix: SubstitutionMatrix,
+        gaps: GapModel,
+    ) -> BatchResult:
+        """Score a whole database batch through lane groups.
+
+        ``BatchResult.saturated`` lists the sequences whose lanes were
+        redone at full width; their scores are exact like all others.
+        """
+        q = as_codes(query, self.alphabet)
+        self._check_matrix(matrix)
+        encoded = [as_codes(s, self.alphabet) for s in db_seqs]
+        groups = build_lane_groups(encoded, self.lanes)
+        scores = np.zeros(len(encoded), dtype=np.int64)
+        cells = 0
+        saturated: list[int] = []
+        # The prepared tables depend only on the query and matrix —
+        # build them once for the whole batch, not once per lane group.
+        prepared = self._prepare(q, matrix) if groups else None
+        for group in groups:
+            g_scores, g_sat = self.score_group(
+                q, group, matrix, gaps, _prepared=prepared
+            )
+            scores[group.indices] = g_scores
+            cells += len(q) * group.cells_per_query_row
+            saturated.extend(int(group.indices[l]) for l in g_sat)
+        return BatchResult(scores=scores, cells=cells, saturated=sorted(saturated))
+
+    def _score_pair_codes(
+        self, query: np.ndarray, db: np.ndarray, matrix, gaps
+    ) -> AlignmentResult:
+        group = build_lane_groups([db], lanes=1)[0]
+        scores, _ = self.score_group(query, group, matrix, gaps)
+        return AlignmentResult(score=int(scores[0]), cells=len(query) * len(db))
+
+
 @register_engine
-class InterTaskEngine(AlignmentEngine):
+class InterTaskEngine(_LaneGroupEngine):
     """Lane-parallel multi-sequence engine (paper Section IV).
 
     Parameters
@@ -161,9 +211,6 @@ class InterTaskEngine(AlignmentEngine):
     block_cols:
         Database-column tile width for cache blocking; ``None`` disables
         blocking.  Results are identical either way.
-    saturate_bits:
-        Emulate saturating arithmetic of this element width (8 or 16);
-        ``None`` computes exactly in wide integers.
     """
 
     name = "intertask"
@@ -178,67 +225,15 @@ class InterTaskEngine(AlignmentEngine):
         lanes: int = 8,
         profile: ProfileKind | str = ProfileKind.SEQUENCE,
         block_cols: int | None = None,
-        saturate_bits: int | None = None,
     ) -> None:
         super().__init__(alphabet or PROTEIN)
         if lanes < 1:
             raise EngineError(f"lane count must be positive, got {lanes}")
         if block_cols is not None and block_cols < 1:
             raise EngineError(f"block_cols must be positive, got {block_cols}")
-        if saturate_bits not in (None, 8, 16):
-            raise EngineError(
-                f"saturate_bits must be None, 8 or 16, got {saturate_bits}"
-            )
         self.lanes = lanes
         self.profile = ProfileKind.parse(profile)
         self.block_cols = block_cols
-        self.saturate_bits = saturate_bits
-
-    # ------------------------------------------------------------------
-    # public batched API
-    # ------------------------------------------------------------------
-    def score_batch(
-        self,
-        query,
-        db_seqs,
-        matrix: SubstitutionMatrix,
-        gaps: GapModel,
-        *,
-        recompute_saturated: bool = True,
-    ) -> BatchResult:
-        """Score a whole database batch through lane groups.
-
-        Saturated lanes (narrow-element mode) are recomputed exactly with
-        the scan engine and reported in ``BatchResult.saturated``.  Pass
-        ``recompute_saturated=False`` to leave them clamped — callers
-        running their own precision ladder (the adaptive engine) escalate
-        them to a wider element width instead.
-        """
-        q = as_codes(query, self.alphabet)
-        self._check_matrix(matrix)
-        encoded = [as_codes(s, self.alphabet) for s in db_seqs]
-        groups = build_lane_groups(encoded, self.lanes)
-        scores = np.zeros(len(encoded), dtype=np.int64)
-        cells = 0
-        saturated: list[int] = []
-        # The extended table (and the QP gather of it) depend only on
-        # the query and matrix — build them once for the whole batch
-        # instead of once per lane group.
-        prepared = self._prepare(q, matrix)
-        for group in groups:
-            g_scores, g_sat = self.score_group(
-                q, group, matrix, gaps, _prepared=prepared
-            )
-            scores[group.indices] = g_scores
-            cells += len(q) * group.cells_per_query_row
-            saturated.extend(int(group.indices[l]) for l in g_sat)
-        if saturated and recompute_saturated:
-            from .scan import ScanEngine
-
-            exact = ScanEngine(self.alphabet)
-            for k in saturated:
-                scores[k] = exact.score_pair(q, encoded[k], matrix, gaps).score
-        return BatchResult(scores=scores, cells=cells, saturated=sorted(saturated))
 
     def _prepare(
         self, query: np.ndarray, matrix: SubstitutionMatrix
@@ -261,22 +256,18 @@ class InterTaskEngine(AlignmentEngine):
         *,
         _prepared: tuple[np.ndarray, np.ndarray | None] | None = None,
     ) -> tuple[np.ndarray, list[int]]:
-        """Score one lane group; returns per-lane scores and saturated lanes.
+        """Score one lane group; returns exact per-lane scores and no redo.
 
         This is the paper's Algorithm 1 inner loop: for each query residue
         (outer loop, line 26) every lane's database row is advanced with
         vector operations (the ``omp simd`` loop, line 28), here realised
         as numpy operations over the ``(n_max, L)`` lane plane with the
-        horizontal-gap recurrence resolved by a prefix scan.
+        horizontal-gap recurrence resolved by a prefix scan.  Every cell
+        is computed in wide integers, so the redone-lane list is empty.
         """
         m = len(query)
         L = group.lanes
         n_max = group.n_max
-        sat_limit = (
-            np.int64((1 << (self.saturate_bits - 1)) - 1)
-            if self.saturate_bits
-            else None
-        )
 
         # Extended score table: a poison row/column at index
         # ``alphabet.size..255`` is represented by clamping pad codes to a
@@ -304,28 +295,22 @@ class InterTaskEngine(AlignmentEngine):
             best = self._sweep(
                 query, codes, mask, get_row,
                 qp if self.profile is ProfileKind.QUERY else None,
-                m, n_max, L, qo, go, ge, sat_limit,
+                m, n_max, L, qo, go, ge,
             )
         else:
             best = self._sweep_blocked(
                 query, codes, mask, get_row,
                 qp if self.profile is ProfileKind.QUERY else None,
-                m, n_max, L, qo, go, ge, sat_limit, self.block_cols,
+                m, n_max, L, qo, go, ge, self.block_cols,
             )
-
-        sat_lanes = (
-            [int(l) for l in np.flatnonzero(best >= sat_limit)]
-            if sat_limit is not None
-            else []
-        )
-        return best, sat_lanes
+        return best, []
 
     # ------------------------------------------------------------------
     # kernels
     # ------------------------------------------------------------------
     def _sweep(
         self, query, codes, mask, get_row, qp,
-        m, n_max, L, qo, go, ge, sat_limit,
+        m, n_max, L, qo, go, ge,
     ) -> np.ndarray:
         """Unblocked lane sweep over all query rows."""
         h_prev = np.zeros((n_max + 1, L), dtype=np.int64)
@@ -344,8 +329,6 @@ class InterTaskEngine(AlignmentEngine):
             np.add(h_tilde[:-1], src_w[1:], out=t[1:])
             np.maximum.accumulate(t, axis=0, out=t)
             h = np.maximum(h_tilde, t - qo - col_w)
-            if sat_limit is not None:
-                np.minimum(h, sat_limit, out=h)
             np.maximum(best, (h * mask).max(axis=0), out=best)
             h_prev[1:] = h
             f_prev = f
@@ -353,7 +336,7 @@ class InterTaskEngine(AlignmentEngine):
 
     def _sweep_blocked(
         self, query, codes, mask, get_row, qp,
-        m, n_max, L, qo, go, ge, sat_limit, width,
+        m, n_max, L, qo, go, ge, width,
     ) -> np.ndarray:
         """Column-tiled sweep with carried boundary state.
 
@@ -396,8 +379,6 @@ class InterTaskEngine(AlignmentEngine):
                     np.add(h_tilde[:-1], src_w, out=tt[1:])
                 np.maximum.accumulate(tt, axis=0, out=tt)
                 h = np.maximum(h_tilde, tt - qo - col_w)
-                if sat_limit is not None:
-                    np.minimum(h, sat_limit, out=h)
                 np.maximum(best, (h * mask_t).max(axis=0), out=best)
                 # Carry out: fold in the tile's last source column u1.
                 carry[i] = np.maximum(tt[-1], h_tilde[-1] + np.int64(u1) * ge)
@@ -408,22 +389,8 @@ class InterTaskEngine(AlignmentEngine):
         return best
 
     # ------------------------------------------------------------------
-    # single-pair path and helpers
+    # helpers
     # ------------------------------------------------------------------
-    def _score_pair_codes(
-        self, query: np.ndarray, db: np.ndarray, matrix, gaps
-    ) -> AlignmentResult:
-        group = build_lane_groups([db], lanes=1)[0]
-        scores, sat = self.score_group(query, group, matrix, gaps)
-        score = int(scores[0])
-        if sat:
-            from .scan import ScanEngine
-
-            score = ScanEngine(self.alphabet).score_pair(
-                query, db, matrix, gaps
-            ).score
-        return AlignmentResult(score=score, cells=len(query) * len(db))
-
     def _extended_table(self, matrix: SubstitutionMatrix) -> np.ndarray:
         """Score table with one poison column appended for the pad code."""
         a = matrix.data.astype(np.int64)

@@ -16,9 +16,11 @@ Two-tier width strategy (the SWIPE / SSW recompute path):
   optionally int8) with values *clamped* at a saturation limit, exactly
   like saturating SIMD arithmetic.
 * A lane whose running maximum reaches the limit is flagged, and only the
-  flagged lanes are redone at full int64 width.  Unflagged lanes are
-  provably exact (clamping can only lower values, and the first clamped
-  real cell pins that lane's maximum at the limit).
+  flagged lanes are redone at full int64 width, inside
+  :meth:`VectorizedEngine.score_group` — the one narrow-then-redo ladder
+  every search path runs.  Unflagged lanes are provably exact (clamping
+  can only lower values, and the first clamped real cell pins that
+  lane's maximum at the limit).
 
 To keep int16/int8 intermediates in range the column prefix scan is tiled
 and *rebased*: each tile uses local gap-length weights ``1..w`` and carries
@@ -43,10 +45,9 @@ from ..alphabet import PROTEIN, Alphabet
 from ..exceptions import EngineError
 from ..scoring.gaps import GapModel
 from ..scoring.matrices import SubstitutionMatrix
-from .engine import AlignmentEngine, as_codes, register_engine
-from .intertask import InterTaskEngine, LaneGroup, build_lane_groups
+from .engine import AlignmentEngine, register_engine
+from .intertask import InterTaskEngine, LaneGroup, _LaneGroupEngine
 from .profiles import ProfileKind
-from .types import AlignmentResult, BatchResult
 
 __all__ = [
     "VectorizedEngine",
@@ -101,7 +102,7 @@ class _Prepared:
 
 
 @register_engine
-class VectorizedEngine(AlignmentEngine):
+class VectorizedEngine(_LaneGroupEngine):
     """Lane-parallel engine with array-vectorised DP steps.
 
     Parameters
@@ -150,41 +151,6 @@ class VectorizedEngine(AlignmentEngine):
         self.saturate_bits = 16 if saturate_bits is None else saturate_bits
         self.stats = KernelStats()
 
-    # ------------------------------------------------------------------
-    # public batched API (mirrors InterTaskEngine)
-    # ------------------------------------------------------------------
-    def score_batch(
-        self,
-        query,
-        db_seqs,
-        matrix: SubstitutionMatrix,
-        gaps: GapModel,
-        *,
-        recompute_saturated: bool = True,
-    ) -> BatchResult:
-        """Score a whole database batch through wide lane groups.
-
-        ``BatchResult.saturated`` lists sequences whose narrow-width lane
-        saturated; with ``recompute_saturated`` (default) their scores
-        were redone exactly at full width, otherwise they stay clamped.
-        """
-        q = as_codes(query, self.alphabet)
-        self._check_matrix(matrix)
-        encoded = [as_codes(s, self.alphabet) for s in db_seqs]
-        groups = build_lane_groups(encoded, self.lanes)
-        scores = np.zeros(len(encoded), dtype=np.int64)
-        cells = 0
-        saturated: list[int] = []
-        prepared = self._prepare(q, matrix) if groups else None
-        for group in groups:
-            g_scores, g_sat = self._score_group_raw(q, group, gaps, prepared)
-            if g_sat and recompute_saturated:
-                self._redo_wide(q, group, gaps, prepared, g_sat, g_scores)
-            scores[group.indices] = g_scores
-            cells += len(q) * group.cells_per_query_row
-            saturated.extend(int(group.indices[l]) for l in g_sat)
-        return BatchResult(scores=scores, cells=cells, saturated=sorted(saturated))
-
     def score_group(
         self,
         query: np.ndarray,
@@ -194,17 +160,43 @@ class VectorizedEngine(AlignmentEngine):
         *,
         _prepared: _Prepared | None = None,
     ) -> tuple[np.ndarray, list[int]]:
-        """Score one lane group; returns per-lane scores and saturated lanes.
+        """Score one lane group; returns exact per-lane scores and redone lanes.
 
-        Same contract as :meth:`InterTaskEngine.score_group`: saturated
-        lanes stay clamped and are *reported*, so the caller-side exact
-        recompute pass (pipeline, pool workers) — and its
-        ``saturated_recomputed`` accounting — behaves identically under
-        either kernel.  :meth:`score_batch` is the entry point that
-        redoes saturated lanes internally (vectorised, at full width).
+        The group is swept at the narrow width; lanes whose best reached
+        the saturation clamp are redone at full width (:meth:`_redo_wide`)
+        and returned as the second element, so callers can account for
+        them (``saturated_recomputed``).  When the narrow tier cannot
+        represent the matrix or gap model the group is swept at full
+        width and nothing is redone.
         """
         prep = _prepared if _prepared is not None else self._prepare(query, matrix)
-        return self._score_group_raw(query, group, gaps, prep)
+        codes = np.minimum(group.codes, self.alphabet.size).astype(np.intp)
+        mask = group.mask
+        qo, go, ge = int(gaps.open), int(gaps.first_gap_cost), int(gaps.extend)
+        if prep.ext_narrow is not None:
+            dtype = _WIDTH_DTYPES[self.saturate_bits]
+            info = np.iinfo(dtype)
+            clamp = (int(info.max) * 3) // 4
+            width = self._narrow_tile_width(
+                group.n_max, qo, ge, prep.vmax, int(info.max), clamp
+            )
+            if width is not None:
+                best = self._lane_sweep(
+                    query, codes, mask, prep.ext_narrow, prep.qp_narrow,
+                    qo, go, ge, dtype, clamp, width,
+                ).astype(np.int64)
+                self.stats.narrow_sweeps += 1
+                sat = [int(l) for l in np.flatnonzero(best >= clamp)]
+                if sat:
+                    self._redo_wide(query, group, gaps, prep, sat, best)
+                return best, sat
+        best = self._lane_sweep(
+            query, codes, mask, prep.ext_wide, prep.qp_wide,
+            qo, go, ge, np.int64, None,
+            min(self.block_cols or group.n_max, group.n_max),
+        )
+        self.stats.wide_sweeps += 1
+        return best, []
 
     def _prepare(self, query: np.ndarray, matrix: SubstitutionMatrix) -> _Prepared:
         """Batch-invariant tables: wide + (if representable) narrow."""
@@ -237,42 +229,8 @@ class VectorizedEngine(AlignmentEngine):
         )
 
     # ------------------------------------------------------------------
-    # two-tier dispatch
+    # two-tier helpers
     # ------------------------------------------------------------------
-    def _score_group_raw(
-        self,
-        query: np.ndarray,
-        group: LaneGroup,
-        gaps: GapModel,
-        prep: _Prepared,
-    ) -> tuple[np.ndarray, list[int]]:
-        """Narrow-tier sweep with saturation flags (no redo)."""
-        codes = np.minimum(group.codes, self.alphabet.size).astype(np.intp)
-        mask = group.mask
-        qo, go, ge = int(gaps.open), int(gaps.first_gap_cost), int(gaps.extend)
-        if prep.ext_narrow is not None:
-            dtype = _WIDTH_DTYPES[self.saturate_bits]
-            info = np.iinfo(dtype)
-            clamp = (int(info.max) * 3) // 4
-            width = self._narrow_tile_width(
-                group.n_max, qo, ge, prep.vmax, int(info.max), clamp
-            )
-            if width is not None:
-                best = self._lane_sweep(
-                    query, codes, mask, prep.ext_narrow, prep.qp_narrow,
-                    qo, go, ge, dtype, clamp, width,
-                )
-                self.stats.narrow_sweeps += 1
-                sat = [int(l) for l in np.flatnonzero(best >= clamp)]
-                return best.astype(np.int64), sat
-        best = self._lane_sweep(
-            query, codes, mask, prep.ext_wide, prep.qp_wide,
-            qo, go, ge, np.int64, None,
-            min(self.block_cols or group.n_max, group.n_max),
-        )
-        self.stats.wide_sweeps += 1
-        return best, []
-
     def _narrow_tile_width(
         self, n_max: int, qo: int, ge: int, vmax: int, info_max: int, clamp: int
     ) -> int | None:
@@ -433,19 +391,6 @@ class VectorizedEngine(AlignmentEngine):
                 col_in, col_out = col_out, col_in
         return best
 
-    # ------------------------------------------------------------------
-    # single-pair path
-    # ------------------------------------------------------------------
-    def _score_pair_codes(
-        self, query: np.ndarray, db: np.ndarray, matrix, gaps
-    ) -> AlignmentResult:
-        group = build_lane_groups([db], lanes=1)[0]
-        prep = self._prepare(query, matrix)
-        scores, sat = self._score_group_raw(query, group, gaps, prep)
-        if sat:
-            self._redo_wide(query, group, gaps, prep, sat, scores)
-        return AlignmentResult(score=int(scores[0]), cells=len(query) * len(db))
-
 
 def make_intertask_engine(
     kernel: str,
@@ -454,7 +399,6 @@ def make_intertask_engine(
     lanes: int | None = None,
     profile: ProfileKind | str = ProfileKind.SEQUENCE,
     block_cols: int | None = None,
-    saturate_bits: int | None = None,
 ) -> AlignmentEngine:
     """Construct the lane-parallel engine backing a kernel name.
 
@@ -475,5 +419,4 @@ def make_intertask_engine(
         lanes=lanes,
         profile=profile,
         block_cols=block_cols,
-        saturate_bits=saturate_bits,
     )

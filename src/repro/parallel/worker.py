@@ -9,10 +9,10 @@ configuration, the chunk's group ids — which is tiny next to the
 database payload.
 
 The scoring code path is deliberately the same one the serial pipeline
-runs: :meth:`InterTaskEngine.score_group` per lane group, exact
-:class:`ScanEngine` recompute for saturated lanes, and the checksum
-guard (:func:`repro.search.scan.guarded_transmit`) when a fault plan
-is active.  Fault decisions are a pure function of
+runs: the engine's ``score_group`` per lane group (which redoes any
+saturated lanes exactly), and the checksum guard
+(:func:`repro.search.scan.guarded_transmit`) when a fault plan is
+active.  Fault decisions are a pure function of
 ``(plan.seed, unit, attempt)`` with ``unit`` being the *global* group
 index, so a fault fires (or not) identically whichever worker — or the
 serial pipeline itself — executes the group.
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.intertask import InterTaskEngine, LaneGroup, build_lane_groups
-from ..core.scan import ScanEngine
 from ..core.vectorized import make_intertask_engine
 from ..exceptions import ParallelError, ReproError
 from ..faults.injection import FaultInjector, FaultKind, FaultPlan
@@ -67,7 +66,6 @@ class EngineConfig:
     lanes: int
     profile: str = "sequence"
     block_cols: int | None = None
-    saturate_bits: int | None = None
     kernel: str = "python"
 
     def build(self, alphabet) -> InterTaskEngine:
@@ -78,7 +76,6 @@ class EngineConfig:
             lanes=self.lanes,
             profile=self.profile,
             block_cols=self.block_cols,
-            saturate_bits=self.saturate_bits,
         )
 
 
@@ -177,7 +174,7 @@ def ping() -> int:
     return _STATE["pid"]
 
 
-def _score_groups(task: ChunkTask, groups, units, engine, exact):
+def _score_groups(task: ChunkTask, groups, units, engine):
     """Score lane groups exactly like the serial pipeline's group loop.
 
     ``groups`` is a list of :class:`LaneGroup`; ``units`` the matching
@@ -185,7 +182,7 @@ def _score_groups(task: ChunkTask, groups, units, engine, exact):
     redone, cells)`` with ``positions`` being each lane's
     ``group.indices`` entry (caller-defined coordinate space).
     """
-    from ..search.scan import guarded_transmit, score_group_exact
+    from ..search.scan import guarded_transmit
 
     q = task.query
     prepared = engine._prepare(q, task.matrix)
@@ -201,9 +198,10 @@ def _score_groups(task: ChunkTask, groups, units, engine, exact):
         sat_holder = [0]
 
         def compute(group=group, sat_holder=sat_holder) -> np.ndarray:
-            g_scores, sat_holder[0] = score_group_exact(
-                engine, exact, q, group, task.matrix, task.gaps, prepared
+            g_scores, sat = engine.score_group(
+                q, group, task.matrix, task.gaps, _prepared=prepared
             )
+            sat_holder[0] = len(sat)
             return g_scores
 
         g_scores, redos = guarded_transmit(injector, unit, compute)
@@ -275,7 +273,6 @@ def run_chunk(
     if key not in engines:
         engines[key] = task.engine.build(alphabet)
     engine = engines[key]
-    exact = ScanEngine(alphabet)
 
     if task.kind == "stream":
         positions, scores, saturated, redone, cells = _score_stream(
@@ -285,7 +282,7 @@ def run_chunk(
         groups = [db.group(g) for g in task.group_ids]
         units = list(task.group_ids)
         positions, scores, saturated, redone, cells = _score_groups(
-            task, groups, units, engine, exact
+            task, groups, units, engine
         )
     elif task.kind == "subset":
         seqs = [db.sequence(p) for p in task.positions]
@@ -302,7 +299,7 @@ def run_chunk(
             ))
         units = [task.fault_unit_base + g for g in range(len(groups))]
         positions, scores, saturated, redone, cells = _score_groups(
-            task, groups, units, engine, exact
+            task, groups, units, engine
         )
     else:
         raise ParallelError(f"unknown chunk kind {task.kind!r}")

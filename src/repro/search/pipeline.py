@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.engine import as_codes
-from ..core.scan import ScanEngine
 from ..core.traceback import align_pair
 from ..db.database import SequenceDatabase
 from ..db.preprocess import PreprocessedDatabase, preprocess_database
@@ -25,7 +24,7 @@ from ..perfmodel.model import DevicePerformanceModel, RunConfig, Workload
 from .api import SearchOptions, unify_options
 from .gcups import Stopwatch
 from .result import SearchResult
-from .scan import ScanContext, guarded_transmit, rank_hits, score_group_exact
+from .scan import ScanContext, guarded_transmit, rank_hits
 
 __all__ = ["SearchPipeline"]
 
@@ -46,8 +45,6 @@ class SearchPipeline:
         Optional :class:`DevicePerformanceModel`; adds modelled GCUPS.
     block_cols:
         Cache-blocking tile width forwarded to the engine.
-    saturate_bits:
-        Narrow-score saturation width forwarded to the engine.
     workers:
         Real OS processes scoring lane-group chunks concurrently
         (:class:`repro.parallel.ProcessPoolBackend`).  ``1`` (default)
@@ -77,7 +74,6 @@ class SearchPipeline:
         *,
         device_model: DevicePerformanceModel | None = None,
         block_cols: int | None = None,
-        saturate_bits: int | None = None,
         metrics: MetricsRegistry | None = None,
         workers: int | None = None,
         parallel_chunk_size: int | None = None,
@@ -86,9 +82,7 @@ class SearchPipeline:
     ) -> None:
         opts = unify_options(options, legacy, owner="SearchPipeline")
         self.options = opts
-        self.context = ctx = ScanContext.resolve(
-            opts, block_cols=block_cols, saturate_bits=saturate_bits
-        )
+        self.context = ctx = ScanContext.resolve(opts, block_cols=block_cols)
         self.matrix, self.gaps, self.alphabet = (
             ctx.matrix, ctx.gaps, ctx.alphabet
         )
@@ -304,13 +298,16 @@ class SearchPipeline:
                 sat_counts: dict[int, int] = {}
                 corrupted_redone = 0
                 prepared = self.engine._prepare(q, self.matrix)
-                exact = ScanEngine(self.alphabet)
 
                 def compute_group(g: int) -> np.ndarray:
-                    scores, sat_counts[g] = score_group_exact(
-                        self.engine, exact, q, groups[g], self.matrix,
-                        self.gaps, prepared,
+                    # The engine redoes saturated lanes exactly; the
+                    # count is assigned, not added, so a corruption
+                    # redo of the group does not count them twice.
+                    scores, sat = self.engine.score_group(
+                        q, groups[g], self.matrix, self.gaps,
+                        _prepared=prepared,
                     )
+                    sat_counts[g] = len(sat)
                     return scores
 
                 deadline = self.options.deadline

@@ -9,10 +9,9 @@ rank the best.  This module is the single implementation of each piece:
   once into matrix, gaps, alphabet, kernel, lanes and the picklable
   :class:`~repro.parallel.worker.EngineConfig` the engine (serial or
   pooled) is built from, so the two can never drift apart;
-* :func:`guarded_transmit`, :func:`score_group_exact` and
-  :func:`score_stream_chunk` — one lane group or one streamed chunk
-  scored (and shipped through the fault-injection checksum guard)
-  identically in the serial loops and in pool workers;
+* :func:`guarded_transmit` and :func:`score_stream_chunk` — one lane
+  group or one streamed chunk shipped through the fault-injection
+  checksum guard identically in the serial loops and in pool workers;
 * :class:`TopK` — the bounded top-k merger of the streaming drivers;
 * :func:`merge_by_header` and :func:`rank_hits` — per-part scores
   scattered back to database order, and the stable descending ranking
@@ -46,7 +45,6 @@ __all__ = [
     "guarded_transmit",
     "merge_by_header",
     "rank_hits",
-    "score_group_exact",
     "score_stream_chunk",
 ]
 
@@ -74,14 +72,13 @@ class ScanContext:
     @classmethod
     def resolve(
         cls, options: SearchOptions, *, block_cols: int | None = None,
-        saturate_bits: int | None = None,
     ) -> "ScanContext":
-        """Resolve ``options``; the two keywords only shape the engine."""
+        """Resolve ``options``; ``block_cols`` only shapes the engine."""
         kernel = options.resolved_kernel()
         lanes = options.resolved_lanes(DEFAULT_LANES[kernel])
         engine_config = EngineConfig(
             lanes=lanes, profile=options.profile, block_cols=block_cols,
-            saturate_bits=saturate_bits, kernel=kernel,
+            kernel=kernel,
         )
         return cls(
             options.resolved_matrix(), options.resolved_gaps(),
@@ -127,24 +124,6 @@ def guarded_transmit(
     return received, attempt
 
 
-def score_group_exact(
-    engine, exact, query: np.ndarray, group, matrix, gaps, prepared
-) -> tuple[np.ndarray, int]:
-    """One lane group's scores with saturated lanes recomputed exactly.
-
-    Returns ``(scores, saturated_lanes)``; ``exact`` is the full-width
-    engine (a :class:`~repro.core.ScanEngine`) the saturated lanes are
-    redone on.  The serial group loop and pool workers both run it.
-    """
-    scores, sat = engine.score_group(
-        query, group, matrix, gaps, _prepared=prepared
-    )
-    for lane in sat:
-        seq = np.ascontiguousarray(group.codes[: group.lengths[lane], lane])
-        scores[lane] = exact.score_pair(query, seq, matrix, gaps).score
-    return scores, len(sat)
-
-
 def score_stream_chunk(
     engine, query: np.ndarray, seqs: list, matrix: SubstitutionMatrix,
     gaps: GapModel, injector: FaultInjector | None = None, unit: int = 0,
@@ -152,7 +131,7 @@ def score_stream_chunk(
     """Score one streamed chunk: ``(scores, last batch, redo count)``.
 
     The whole chunk goes through ``engine.score_batch`` (saturated lanes
-    recomputed exactly inside) and, with an injector, through one
+    redone exactly inside the engine) and, with an injector, through one
     checksum-guarded transmit keyed on ``unit`` — the chunk's global
     index — so the serial loop and a pool worker replay the same
     corruption decisions and redo counts.

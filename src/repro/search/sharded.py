@@ -44,6 +44,7 @@ Resilience (this is the layer long scans ride on):
 
 from __future__ import annotations
 
+import threading
 from itertools import islice
 
 import numpy as np
@@ -154,6 +155,9 @@ class ShardedStreamingSearch(_StreamEntrypoints):
         self.poison_threshold = poison_threshold
         self.metrics = metrics if metrics is not None else METRICS
         self._backend = None
+        # Guards the check-then-create in start(): two threads sharing a
+        # fresh instance must not each build (and one leak) a pool.
+        self._backend_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # pool lifecycle
@@ -168,20 +172,22 @@ class ShardedStreamingSearch(_StreamEntrypoints):
         """
         from ..parallel.backend import ProcessPoolBackend
 
-        if self._backend is None or self._backend.closed:
-            self._backend = ProcessPoolBackend(
-                None,
-                workers=self.workers,
-                chunk_timeout=self.chunk_timeout,
-                max_heals=self.max_heals,
-                poison_threshold=self.poison_threshold,
-                metrics=self.metrics,
-            )
-        return self._backend
+        with self._backend_lock:
+            if self._backend is None or self._backend.closed:
+                self._backend = ProcessPoolBackend(
+                    None,
+                    workers=self.workers,
+                    chunk_timeout=self.chunk_timeout,
+                    max_heals=self.max_heals,
+                    poison_threshold=self.poison_threshold,
+                    metrics=self.metrics,
+                )
+            return self._backend
 
     def close(self) -> None:
         """Shut down the worker pool (idempotent)."""
-        backend, self._backend = self._backend, None
+        with self._backend_lock:
+            backend, self._backend = self._backend, None
         if backend is not None:
             backend.close()
 
@@ -279,13 +285,9 @@ class ShardedStreamingSearch(_StreamEntrypoints):
         )
         return scanned, cells, redone
 
-    def _load_state(self, fingerprint: str | None) -> ScanState:
-        """The resume snapshot when enabled and matching, else fresh."""
-        if (
-            self.journal is None
-            or not self.resume_enabled
-            or fingerprint is None
-        ):
+    def _load_state(self, fingerprint: str | None, resume: bool) -> ScanState:
+        """The resume snapshot when ``resume`` and matching, else fresh."""
+        if self.journal is None or not resume or fingerprint is None:
             return ScanState()
         state = self.journal.load(fingerprint)
         if state is None:
@@ -307,6 +309,7 @@ class ShardedStreamingSearch(_StreamEntrypoints):
         database_name: str = "<stream>",
         top_k: int | None = None,
         total_records: int | None = None,
+        _resume: bool = False,
     ) -> StreamingResult:
         """Stream records through the pool; return the serial top-k.
 
@@ -318,7 +321,8 @@ class ShardedStreamingSearch(_StreamEntrypoints):
         mid-scan, and including a resumed scan continuing a journal.
         On deadline expiry a :class:`~repro.search.PartialResult` is
         returned instead (``total_records``, when known, gives it a
-        completion fraction).
+        completion fraction).  ``_resume`` turns resume on for this call
+        only, leaving :attr:`resume_enabled` untouched (see :meth:`resume`).
         """
         ctx = self.context
         q = as_codes(query, ctx.alphabet)
@@ -341,7 +345,7 @@ class ShardedStreamingSearch(_StreamEntrypoints):
                 alphabet=ctx.alphabet,
                 plan=injector.plan if injector is not None else None,
             )
-        state = self._load_state(fingerprint)
+        state = self._load_state(fingerprint, self.resume_enabled or _resume)
         resume_records = state.records_done
         resume_shards = state.shards_merged
         topk = TopK(top_k, state.heap_entries())
@@ -494,8 +498,4 @@ class ShardedStreamingSearch(_StreamEntrypoints):
                 "resume() requires this search to be built with a "
                 "journal path"
             )
-        saved, self.resume_enabled = self.resume_enabled, True
-        try:
-            return self.search_records(query, records, **kwargs)
-        finally:
-            self.resume_enabled = saved
+        return self.search_records(query, records, _resume=True, **kwargs)

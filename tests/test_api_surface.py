@@ -37,7 +37,6 @@ PUBLIC_API = {
     "AlignmentEngine", "AlignmentResult", "BatchResult", "Traceback",
     "ScalarEngine", "ScanEngine", "DiagonalEngine", "StripedEngine",
     "InterTaskEngine", "VectorizedEngine", "BandedEngine",
-    "AdaptivePrecisionEngine",
     "LaneGroup", "build_lane_groups",
     "global_align", "semiglobal_align", "MiniBlast",
     "available_engines", "get_engine", "sw_score", "align_pair",

@@ -70,10 +70,6 @@ class TestEngineConfig:
         with pytest.raises(EngineError):
             InterTaskEngine(block_cols=0)
 
-    def test_invalid_saturate_bits(self):
-        with pytest.raises(EngineError):
-            InterTaskEngine(saturate_bits=12)
-
     def test_profile_parsing(self):
         assert InterTaskEngine(profile="query").profile is ProfileKind.QUERY
         assert InterTaskEngine(profile="sequence").profile is ProfileKind.SEQUENCE
@@ -123,37 +119,6 @@ class TestBlocking:
             blocked.score_batch(q, seqs, BLOSUM62, g).scores,
             plain.score_batch(q, seqs, BLOSUM62, g).scores,
         )
-
-
-class TestSaturation:
-    def test_int8_saturates_and_recomputes_exactly(self, oracle):
-        g = paper_gap_model()
-        # A long self-alignment drives the score far past int8's 127.
-        seq = "ACDEFGHIKLMNPQRSTVWY" * 10  # score 200 residues ~ +1000
-        eng = InterTaskEngine(lanes=4, saturate_bits=8)
-        batch = eng.score_batch(seq, [seq, "AAAA"], BLOSUM62, g)
-        assert batch.saturated == [0]
-        expect = oracle.score_pair(seq, seq, BLOSUM62, g).score
-        assert batch.scores[0] == expect
-        assert expect > 127
-
-    def test_int16_no_false_saturation(self, rng, oracle):
-        g = paper_gap_model()
-        q = random_protein(rng, 40)
-        seqs = [random_protein(rng, 40) for _ in range(6)]
-        batch = InterTaskEngine(lanes=2, saturate_bits=16).score_batch(
-            q, seqs, BLOSUM62, g
-        )
-        assert batch.saturated == []
-        expect = [oracle.score_pair(q, s, BLOSUM62, g).score for s in seqs]
-        assert list(batch.scores) == expect
-
-    def test_single_pair_saturation_falls_back(self, oracle):
-        g = paper_gap_model()
-        seq = "WCH" * 50
-        eng = InterTaskEngine(lanes=1, saturate_bits=8)
-        res = eng.score_pair(seq, seq, BLOSUM62, g)
-        assert res.score == oracle.score_pair(seq, seq, BLOSUM62, g).score
 
 
 class TestBatchOrdering:

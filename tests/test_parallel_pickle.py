@@ -129,7 +129,7 @@ class TestChunkTask:
             query=PROTEIN.encode(random_protein(rng, 18)),
             matrix=BLOSUM62,
             gaps=GapModel(10, 2),
-            engine=EngineConfig(lanes=8, saturate_bits=16),
+            engine=EngineConfig(lanes=8),
             group_ids=(0, 1, 2),
             plan=FaultPlan(seed=5, corrupt_rate=0.25),
         )

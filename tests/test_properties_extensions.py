@@ -1,15 +1,14 @@
 """Property-based tests for the extension modules.
 
 Same style as test_properties.py, covering the invariants of the banded
-engine, the alignment-mode ordering, the adaptive ladder and the
-heuristic's subset property.
+engine, the alignment-mode ordering and the heuristic's subset
+property.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import get_engine
-from repro.core.adaptive import AdaptivePrecisionEngine
 from repro.core.banded import BandedEngine
 from repro.core.global_align import global_align, semiglobal_align
 from repro.scoring import BLOSUM62, GapModel
@@ -83,39 +82,6 @@ class TestModeOrderingProperties:
         expect = sum(BLOSUM62.score(c, c) for c in a)
         assert global_align(a, a, BLOSUM62, gaps).score == expect
         assert semiglobal_align(a, a, BLOSUM62, gaps).score == expect
-
-
-class TestAdaptiveLadderProperties:
-    @SETTINGS
-    @given(
-        seqs=st.lists(short_protein, min_size=1, max_size=8),
-        query=short_protein,
-        gaps=gap_models,
-    )
-    def test_ladder_always_exact(self, seqs, query, gaps):
-        oracle = get_engine("scalar")
-        ladder = AdaptivePrecisionEngine(register_bits=128)
-        result = ladder.score_batch(query, seqs, BLOSUM62, gaps)
-        for k, s in enumerate(seqs):
-            assert result.scores[k] == oracle.score_pair(
-                query, s, BLOSUM62, gaps
-            ).score
-
-    @SETTINGS
-    @given(
-        seqs=st.lists(short_protein, min_size=1, max_size=6),
-        query=short_protein,
-    )
-    def test_stage_accounting_conserves(self, seqs, query):
-        gaps = GapModel(10, 2)
-        result = AdaptivePrecisionEngine().score_batch(
-            query, seqs, BLOSUM62, gaps
-        )
-        # Stage 1 processed every sequence.
-        assert result.stages[0].sequences == len(seqs)
-        # Later stages only what saturated before.
-        for prev, nxt in zip(result.stages, result.stages[1:]):
-            assert nxt.sequences == prev.saturated
 
 
 class TestHeuristicSubsetProperty:

@@ -33,12 +33,11 @@ class TestIntertaskConfigurations:
         query=short_protein,
         seqs=st.lists(short_protein, min_size=1, max_size=9),
         lanes=st.integers(min_value=1, max_value=20),
-        sat_bits=st.sampled_from([None, 8, 16]),
         gaps=gap_models,
     )
-    def test_every_configuration_exact(self, query, seqs, lanes, sat_bits, gaps):
+    def test_every_configuration_exact(self, query, seqs, lanes, gaps):
         oracle = get_engine("scalar")
-        engine = InterTaskEngine(lanes=lanes, saturate_bits=sat_bits)
+        engine = InterTaskEngine(lanes=lanes)
         batch = engine.score_batch(query, seqs, BLOSUM62, gaps)
         for k, s in enumerate(seqs):
             assert batch.scores[k] == oracle.score_pair(

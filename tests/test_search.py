@@ -8,7 +8,7 @@ from repro.db import SyntheticSwissProt
 from repro.devices import XEON_E5_2670_DUAL
 from repro.exceptions import PipelineError
 from repro.perfmodel import DevicePerformanceModel
-from repro.scoring import BLOSUM62, paper_gap_model
+from repro.scoring import BLOSUM62, SubstitutionMatrix, paper_gap_model
 from repro.search import (
     Hit,
     SearchOptions,
@@ -139,11 +139,30 @@ class TestSearchCorrectness:
     def test_saturating_pipeline_recomputes(self, db):
         from repro.alphabet import PROTEIN
 
-        query = PROTEIN.decode(db.sequences[11])  # long self-hit saturates
-        sat = SearchPipeline(saturate_bits=8).search(query, db)
-        ref = SearchPipeline().search(query, db)
+        # A match reward of 3000 lifts a 12-residue self-hit to 36000,
+        # past the numpy kernel's int16 clamp (24575).  The engine redoes
+        # that lane at full width, and the pipeline counts exactly the
+        # lanes the engine redid, serially and on the pool alike.
+        n = PROTEIN.size
+        data = np.full((n, n), -2, dtype=np.int32)
+        np.fill_diagonal(data, 3000)
+        hot = SubstitutionMatrix("HOT3000", PROTEIN, data)
+        query = PROTEIN.decode(db.sequences[11][:12])
+        options = SearchOptions(matrix=hot, kernel="numpy")
+        pipe = SearchPipeline(options)
+        sat = pipe.search(query, db)
+        ref = SearchPipeline(
+            SearchOptions(matrix=hot, kernel="python")
+        ).search(query, db)
         assert np.array_equal(sat.scores, ref.scores)
+        assert sat.best_score() == 36000
+        assert ref.saturated_recomputed == 0
         assert sat.saturated_recomputed > 0
+        assert sat.saturated_recomputed == pipe.engine.stats.redo_lanes
+        with SearchPipeline(options, workers=2) as pooled:
+            par = pooled.search(query, db)
+        assert np.array_equal(par.scores, sat.scores)
+        assert par.saturated_recomputed == sat.saturated_recomputed
 
 
 class TestModeledTiming:
