@@ -5,10 +5,19 @@ walks the DP in Python loops — the SIMD layer only *counts* what a vector
 unit would do.  This module is the genuinely array-parallel version:
 database sequences are packed into ``(n_max, L)`` lane matrices (reusing
 :func:`~repro.core.intertask.build_lane_groups` length-sorted packing) and
-every DP anti-step is one numpy operation across the whole lane group —
-``np.maximum`` / ``np.add`` over all ``L`` sequences at once, with the
-horizontal-gap recurrence resolved by a single ``np.maximum.accumulate``
-prefix scan per query row.  No Python loop over database position remains.
+every DP anti-step is one numpy operation across the lanes —
+``np.maximum`` / ``np.add`` over all of them at once, with the
+horizontal-gap recurrence resolved by a log-step prefix scan per query
+row.  No Python loop over database position remains.
+
+The kernel only does real work:
+
+* Each lane group is swept in *length spans* (:func:`_length_spans`),
+  each trimmed to its longest lane, so a group's long tail does not pad
+  its short lanes.  The group stays the unit outside the kernel.
+* Each query row reads one contiguous sequence-profile plane per span.
+* The prefix scan stops at the row's *gap reach*: past it, a horizontal
+  gap cannot lift ``H`` over its zero floor.
 
 Two-tier width strategy (the SWIPE / SSW recompute path):
 
@@ -71,13 +80,48 @@ _WIDTH_DTYPES = {8: np.int8, 16: np.int16}
 # scores from mattering numerically.
 _PAD_SCORE_WIDE = np.int64(-(1 << 30))
 
+# Length spans (:func:`_length_spans`): a span of a lane group closes
+# once it holds ``_SPAN_CELLS`` padded database cells and the next lane
+# would drop its fill below ``_SPAN_FILL``.  Below that size numpy's
+# per-call dispatch costs more than the padding a split would save.
+_SPAN_CELLS = 32768
+_SPAN_FILL = 0.85
+
+
+def _length_spans(lengths: np.ndarray) -> list[np.ndarray]:
+    """Split a lane group's lanes into spans of similar length.
+
+    Lanes are taken shortest first; each span is swept trimmed to its
+    longest lane, so a group's long tail does not pad its short lanes.
+    """
+    order = np.argsort(lengths, kind="stable")
+    sizes = lengths[order].tolist()
+    spans = []
+    start = real = 0
+    for k, n in enumerate(sizes):
+        held = k - start
+        if (
+            held
+            and sizes[k - 1] * held >= _SPAN_CELLS
+            and real + n < _SPAN_FILL * n * (held + 1)
+        ):
+            spans.append(order[start:k])
+            start, real = k, 0
+        real += n
+    if sizes:
+        spans.append(order[start:])
+    return spans
+
 
 @dataclass
 class KernelStats:
     """Counters for the two-tier width strategy (engine-local).
 
-    ``redo_lanes`` is the counter the overflow tests assert on: it only
-    moves when a saturated lane was actually redone at full width.
+    ``narrow_sweeps`` and ``wide_sweeps`` count kernel sweeps: one per
+    length span of a lane group at that width, plus one wide sweep per
+    redo.  ``redo_lanes`` is the counter the overflow tests assert on:
+    it only moves when a saturated lane was actually redone at full
+    width.
     """
 
     narrow_sweeps: int = 0
@@ -162,41 +206,37 @@ class VectorizedEngine(_LaneGroupEngine):
     ) -> tuple[np.ndarray, list[int]]:
         """Score one lane group; returns exact per-lane scores and redone lanes.
 
-        The group is swept at the narrow width; lanes whose best reached
-        the saturation clamp are redone at full width (:meth:`_redo_wide`)
-        and returned as the second element, so callers can account for
-        them (``saturated_recomputed``).  When the narrow tier cannot
-        represent the matrix or gap model the group is swept at full
+        The group is swept span by span (:func:`_length_spans`) at the
+        narrow width; lanes whose best reached the saturation clamp are
+        redone at full width (:meth:`_redo_wide`) and returned as the
+        second element, so callers can account for them
+        (``saturated_recomputed``).  When the narrow tier cannot
+        represent the matrix or gap model the spans are swept at full
         width and nothing is redone.
         """
         prep = _prepared if _prepared is not None else self._prepare(query, matrix)
-        codes = np.minimum(group.codes, self.alphabet.size).astype(np.intp)
-        mask = group.mask
-        qo, go, ge = int(gaps.open), int(gaps.first_gap_cost), int(gaps.extend)
-        if prep.ext_narrow is not None:
-            dtype = _WIDTH_DTYPES[self.saturate_bits]
-            info = np.iinfo(dtype)
-            clamp = (int(info.max) * 3) // 4
-            width = self._narrow_tile_width(
-                group.n_max, qo, ge, prep.vmax, int(info.max), clamp
+        tier = self._narrow_tier(prep, int(gaps.open), int(gaps.extend))
+        if tier is None:
+            table, qp, dtype, clamp, cap = (
+                prep.ext_wide, prep.qp_wide, np.int64, None, self.block_cols
             )
-            if width is not None:
-                best = self._lane_sweep(
-                    query, codes, mask, prep.ext_narrow, prep.qp_narrow,
-                    qo, go, ge, dtype, clamp, width,
-                ).astype(np.int64)
-                self.stats.narrow_sweeps += 1
-                sat = [int(l) for l in np.flatnonzero(best >= clamp)]
-                if sat:
-                    self._redo_wide(query, group, gaps, prep, sat, best)
-                return best, sat
-        best = self._lane_sweep(
-            query, codes, mask, prep.ext_wide, prep.qp_wide,
-            qo, go, ge, np.int64, None,
-            min(self.block_cols or group.n_max, group.n_max),
-        )
-        self.stats.wide_sweeps += 1
-        return best, []
+        else:
+            table, qp = prep.ext_narrow, prep.qp_narrow
+            dtype, clamp, cap = tier
+        best = np.zeros(group.lanes, dtype=np.int64)
+        spans = _length_spans(group.lengths)
+        for lanes in spans:
+            best[lanes] = self._sweep_lanes(
+                query, group, lanes, gaps, table, qp, dtype, clamp, cap
+            )
+        if clamp is None:
+            self.stats.wide_sweeps += len(spans)
+            return best, []
+        self.stats.narrow_sweeps += len(spans)
+        sat = [int(lane) for lane in np.flatnonzero(best >= clamp)]
+        if sat:
+            self._redo_wide(query, group, gaps, prep, sat, best)
+        return best, sat
 
     def _prepare(self, query: np.ndarray, matrix: SubstitutionMatrix) -> _Prepared:
         """Batch-invariant tables: wide + (if representable) narrow."""
@@ -231,30 +271,47 @@ class VectorizedEngine(_LaneGroupEngine):
     # ------------------------------------------------------------------
     # two-tier helpers
     # ------------------------------------------------------------------
-    def _narrow_tile_width(
-        self, n_max: int, qo: int, ge: int, vmax: int, info_max: int, clamp: int
-    ) -> int | None:
-        """Largest column-tile width keeping narrow intermediates in range.
+    def _narrow_tier(
+        self, prep: _Prepared, qo: int, ge: int
+    ) -> tuple[type, int, int | None] | None:
+        """``(dtype, clamp, tile cap)`` of the narrow tier, or ``None``.
 
-        Bounds enforced: ``h~ + w*ge <= info_max`` for the rebased scan
-        carry (``h~ <= clamp + vmax``) and ``qo + w*ge <= info_max`` for
-        the gap-cost subtraction.  ``None`` means the gap model cannot be
-        computed narrowly at all.
+        The tile cap is the largest column-tile width keeping narrow
+        intermediates in range: ``h~ + w*ge <= info_max`` for the rebased
+        scan carry (``h~ <= clamp + vmax``) and ``qo + w*ge <= info_max``
+        for the gap-cost subtraction (``None``: untiled).  ``None`` means
+        the matrix or gap model cannot be computed narrowly at all.
         """
+        if prep.ext_narrow is None:
+            return None
+        dtype = _WIDTH_DTYPES[self.saturate_bits]
+        info_max = int(np.iinfo(dtype).max)
+        clamp = (info_max * 3) // 4
         if qo + ge > info_max:
             return None
-        if ge == 0:
-            width = n_max
-        else:
+        cap = self.block_cols
+        if ge:
             width = min(
-                (info_max - clamp - vmax) // ge,
-                (info_max - qo) // ge,
+                (info_max - clamp - prep.vmax) // ge, (info_max - qo) // ge
             )
             if width < 1:
                 return None
-        if self.block_cols is not None:
-            width = min(width, self.block_cols)
-        return max(1, min(width, n_max))
+            cap = min(width, cap or width)
+        return dtype, clamp, cap
+
+    def _sweep_lanes(
+        self, query, group, lanes, gaps, table, qp, dtype, clamp, cap
+    ) -> np.ndarray:
+        """Sweep ``lanes`` of ``group``, trimmed to the longest of them."""
+        lengths = group.lengths[lanes]
+        n_sub = int(lengths.max())
+        codes = np.minimum(group.codes[:n_sub, lanes], self.alphabet.size)
+        mask = np.arange(n_sub)[:, None] < lengths[None, :]
+        return self._lane_sweep(
+            query, codes, mask, table, qp,
+            int(gaps.open), int(gaps.first_gap_cost), int(gaps.extend),
+            dtype, clamp, max(1, min(cap or n_sub, n_sub)),
+        )
 
     def _redo_wide(
         self,
@@ -267,17 +324,10 @@ class VectorizedEngine(_LaneGroupEngine):
     ) -> None:
         """Recompute saturated lanes at full int64 width, in place."""
         lanes = np.asarray(sat, dtype=np.intp)
-        n_sub = int(group.lengths[lanes].max())
-        codes = np.minimum(
-            group.codes[:n_sub, lanes], self.alphabet.size
-        ).astype(np.intp)
-        mask = np.arange(n_sub)[:, None] < group.lengths[lanes][None, :]
-        qo, go, ge = int(gaps.open), int(gaps.first_gap_cost), int(gaps.extend)
-        best = self._lane_sweep(
-            query, codes, mask, prep.ext_wide, prep.qp_wide,
-            qo, go, ge, np.int64, None, min(self.block_cols or n_sub, n_sub),
+        scores[lanes] = self._sweep_lanes(
+            query, group, lanes, gaps, prep.ext_wide, prep.qp_wide,
+            np.int64, None, self.block_cols,
         )
-        scores[lanes] = best
         self.stats.wide_sweeps += 1
         self.stats.redo_groups += 1
         self.stats.redo_lanes += len(sat)
@@ -299,7 +349,12 @@ class VectorizedEngine(_LaneGroupEngine):
         """
         m = len(query)
         n_max, L = codes.shape
-        sp = table[:, codes] if self.profile is ProfileKind.SEQUENCE else None
+        # ``np.take`` lays each residue's SP plane out contiguously;
+        # ``table[:, codes]`` would stride every plane by the table rows.
+        sp = (
+            np.take(table, codes, axis=1)
+            if self.profile is ProfileKind.SEQUENCE else None
+        )
         qidx = query.astype(np.intp)
         best = np.zeros(L, dtype=dtype)
         multi = width < n_max
@@ -314,7 +369,7 @@ class VectorizedEngine(_LaneGroupEngine):
             w = u1 - u0
             mask_t = mask[u0:u1]
             full = bool(mask_t.all())
-            codes_t = codes[u0:u1] if sp is None else None
+            codes_t = codes[u0:u1].astype(np.intp) if sp is None else None
             # Broadcast constants pre-tiled to (w, L): full-array ufunc
             # calls vectorise better than column-vector broadcasts.
             src_w = np.broadcast_to(
@@ -341,6 +396,12 @@ class VectorizedEngine(_LaneGroupEngine):
             t = np.empty((w, L), dtype=dtype)
             t2 = np.empty((w, L), dtype=dtype)
             colmax = np.zeros((w, L), dtype=dtype)
+            # Array operands for the floor and the clamp: numpy runs the
+            # narrow maximum/minimum against a scalar in a scalar loop.
+            zero = np.zeros((w, L), dtype=dtype)
+            if clamp is not None:
+                ceiling = np.full((w, L), clamp, dtype=dtype)
+            reach = w  # ge == 0 bounds nothing: full scan
 
             for i in range(m):
                 v = sp[qidx[i], u0:u1] if sp is not None else qp[i][codes_t]
@@ -349,7 +410,7 @@ class VectorizedEngine(_LaneGroupEngine):
                 np.subtract(fp, ge, out=fp)
                 np.subtract(hp[1:], go, out=s1)
                 np.maximum(fp, s1, out=fp)
-                np.maximum(fp, 0, out=fp)
+                np.maximum(fp, zero, out=fp)
                 # h~ = max(diag + v, f); f >= 0 supplies the zero floor
                 np.add(hp[:-1], v, out=s1)
                 np.maximum(s1, fp, out=s1)
@@ -362,7 +423,19 @@ class VectorizedEngine(_LaneGroupEngine):
                 t[0] = carry[i] if multi else 0
                 if w > 1:
                     np.add(s1[:-1], src_w, out=t[1:])
+                # Gap reach: a source d columns back adds at most
+                # top - qo - d*ge, where top bounds every scanned source
+                # (this row's h~ and the carried column).  Shifts below
+                # ``reach`` cover every d <= reach; farther sources add
+                # at most 0, so they cannot lift H over its zero floor.
+                if ge:
+                    top = int(s1.max())
+                    if multi:
+                        top = max(top, int(carry[i].max()))
+                    reach = (top - qo - 1) // ge
                 for s in shifts:
+                    if s >= reach:
+                        break
                     np.maximum(t[s:], t[:-s], out=t2[s:])
                     t2[:s] = t[:s]
                     t, t2 = t2, t
@@ -371,14 +444,14 @@ class VectorizedEngine(_LaneGroupEngine):
                     np.add(s1[-1], wexit, out=crow)
                     np.maximum(crow, t[-1], out=crow)
                     np.subtract(crow, wexit, out=crow)
-                    np.maximum(crow, 0, out=crow)
+                    np.maximum(crow, zero[0], out=crow)
                     carry[i] = crow
                 # H = max(h~, t - (qo + len*ge)), saturating if narrow
                 h = hn[1:]
                 np.subtract(t, ecost, out=h)
                 np.maximum(h, s1, out=h)
                 if clamp is not None:
-                    np.minimum(h, clamp, out=h)
+                    np.minimum(h, ceiling, out=h)
                 np.maximum(colmax, h, out=colmax)
                 if multi:
                     hn[0] = col_in[i + 1]

@@ -10,6 +10,8 @@ and the paper's GCUPS accounting.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from ..core.engine import as_codes
@@ -103,15 +105,20 @@ class SearchPipeline:
         self._backend = None
         self._backend_key: tuple | None = None
         self._tiered = None
+        # Guards every check-then-create of the lazy parts below: two
+        # threads sharing a pipeline must not each build (and one leak)
+        # a worker pool or a tiered executor.
+        self._lazy_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _tiered_executor(self):
         """The lazily built tiered executor (``mode != "exact"`` only)."""
-        if self._tiered is None:
-            from .tiered import TieredSearch
+        with self._lazy_lock:
+            if self._tiered is None:
+                from .tiered import TieredSearch
 
-            self._tiered = TieredSearch(self.options, metrics=self.metrics)
-        return self._tiered
+                self._tiered = TieredSearch(self.options, metrics=self.metrics)
+            return self._tiered
 
     # ------------------------------------------------------------------
     def _ensure_backend(self, database: SequenceDatabase, pre):
@@ -124,22 +131,22 @@ class SearchPipeline:
         from ..parallel.backend import ProcessPoolBackend
 
         key = (database.fingerprint(), self.lanes)
-        if (
-            self._backend is not None
-            and not self._backend.closed
-            and self._backend_key == key
-        ):
+        with self._lazy_lock:
+            current = self._backend
+            if current is not None and not current.closed and self._backend_key == key:
+                return current
+            self._backend = self._backend_key = None
+            if current is not None:
+                current.close()
+            self._backend = ProcessPoolBackend(
+                pre,
+                workers=self.workers,
+                chunk_size=self.parallel_chunk_size,
+                broadcast=self.parallel_broadcast,
+                metrics=self.metrics,
+            )
+            self._backend_key = key
             return self._backend
-        self.close()
-        self._backend = ProcessPoolBackend(
-            pre,
-            workers=self.workers,
-            chunk_size=self.parallel_chunk_size,
-            broadcast=self.parallel_broadcast,
-            metrics=self.metrics,
-        )
-        self._backend_key = key
-        return self._backend
 
     def _note_fallback(self, tracer, exc: Exception) -> None:
         self.metrics.increment("parallel.fallback")
@@ -191,8 +198,9 @@ class SearchPipeline:
         Safe to call repeatedly; the pipeline keeps working afterwards
         (a later ``workers > 1`` search simply starts a fresh pool).
         """
-        backend, self._backend = self._backend, None
-        self._backend_key = None
+        with self._lazy_lock:
+            backend, self._backend = self._backend, None
+            self._backend_key = None
         if backend is not None:
             backend.close()
 

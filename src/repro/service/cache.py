@@ -14,6 +14,7 @@ hit rate.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 
 from ..db.database import SequenceDatabase
@@ -53,6 +54,9 @@ class PreprocessCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        # One lock over lookup, fill, eviction and the counters: two
+        # threads missing on the same content fill it once, not twice.
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -63,12 +67,13 @@ class PreprocessCache:
         """The sorted/lane-packed form of ``database`` at ``lanes``.
 
         Computes and caches on first sight of the content; every later
-        call with equal content (whatever object carries it) is a hit.
+        call with equal content (whatever object carries it) is a hit,
+        including one that waited for a concurrent fill.
         """
         with get_tracer().span("cache.get") as sp, \
                 self.metrics.timer(
                     "service.preprocess_cache.get.seconds"
-                ).time():
+                ).time(), self._lock:
             key = (database.fingerprint(), int(lanes))
             entry = self._entries.get(key)
             if entry is not None:
@@ -109,4 +114,5 @@ class PreprocessCache:
 
     def clear(self) -> None:
         """Drop every cached entry (counters keep accumulating)."""
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()

@@ -22,10 +22,11 @@ import pytest
 
 from repro.alphabet import PROTEIN
 from repro.core import VectorizedEngine, get_engine
+from repro.core.intertask import build_lane_groups
 from repro.core.vectorized import make_intertask_engine
 from repro.exceptions import EngineError
-from repro.scoring import GapModel, SubstitutionMatrix
-from tests.conftest import random_protein
+from repro.scoring import BLOSUM62, GapModel, SubstitutionMatrix
+from tests.conftest import STANDARD_RESIDUES, random_protein
 
 LANE_GRID = (1, 3, 8, 64)
 BLOCK_GRID = (None, 1, 7, 64)
@@ -271,3 +272,87 @@ class TestAccounting:
             assert batch.scores[i] == scalar.score_pair(
                 query, seq, blosum62, gaps
             ).score, f"sequence {i} misplaced by the lane scatter"
+
+
+def diag5_matrix():
+    """Diagonal 5, off-diagonal -4: a self-alignment of n residues is 5n."""
+    n = PROTEIN.size
+    data = np.full((n, n), -4, dtype=np.int32)
+    np.fill_diagonal(data, 5)
+    return SubstitutionMatrix("DIAG5", PROTEIN, data)
+
+
+class TestReachAndSpans:
+    """The invariants the gap-reach-bounded scan and length spans rely on.
+
+    The other tests use sequences of at most 70 residues, so they never
+    reach a scan reach of 64 or more, nor a span's worth of padded cells.
+    """
+
+    @pytest.mark.parametrize("bits", (16, 64))
+    @pytest.mark.parametrize("block_cols", (None, 64, 400))
+    def test_gap_exactly_at_reach_is_crossed(self, block_cols, bits):
+        # The 105-residue prefix self-scores 525, so the scan reach at
+        # its last row is (525 - 10 - 1) // 2 = 257, one past 2**8.  A
+        # 257-residue filler gap costs 10 + 2*257 = 524, so crossing it
+        # into the 120-residue suffix scores 601 against 600 for the
+        # suffix alone: a scan one shift short, or one that forgets the
+        # carried column across tiles, loses the crossing.
+        rng = np.random.default_rng(0)
+
+        def draw(letters, k):
+            return "".join(letters[i] for i in rng.integers(0, 10, k))
+
+        prefix, suffix = draw("ARNDCQEGHI", 105), draw("ARNDCQEGHI", 120)
+        filler = draw("LKMFPSTWYV", 257)
+        query, target = prefix + suffix, prefix + filler + suffix
+        matrix, gaps = diag5_matrix(), GapModel(10, 2)
+        ref = scalar_scores(query, [target, filler + suffix], matrix, gaps)
+        assert list(ref) == [601, 600]
+        engine = VectorizedEngine(
+            PROTEIN, lanes=1, block_cols=block_cols, saturate_bits=bits
+        )
+        got = engine.score_batch(query, [target], matrix, gaps).scores
+        assert int(got[0]) == 601
+
+    def test_long_tail_group_is_swept_in_spans(self, blosum62, gaps):
+        rng = np.random.default_rng(7)
+        lengths = np.geomspace(20, 2000, 128).astype(int)
+        seqs = [random_protein(rng, int(n)) for n in lengths]
+        query = random_protein(rng, 16)
+        (group,) = build_lane_groups([PROTEIN.encode(s) for s in seqs], 128)
+        engine = VectorizedEngine(PROTEIN)
+        scores, sat = engine.score_group(
+            PROTEIN.encode(query), group, blosum62, gaps
+        )
+        assert engine.stats.narrow_sweeps == 3
+        assert sat == []
+        ref = scalar_scores(query, seqs, blosum62, gaps)
+        np.testing.assert_array_equal(scores, ref[group.indices])
+
+    def test_saturation_in_a_later_span_is_redone(self, gaps):
+        # W scores 3000 against W; nine of them (27000) pass the int16
+        # clamp.  Only the ~750-residue lane 100, in the second span,
+        # carries them, so only it is redone.
+        data = BLOSUM62.data.astype(np.int32).copy()
+        w = PROTEIN.encode("W")[0]
+        data[w, w] = 3000
+        hot = SubstitutionMatrix("HOTW", PROTEIN, data)
+        rng = np.random.default_rng(11)
+        lengths = np.geomspace(20, 2000, 128).astype(int)
+        no_w = STANDARD_RESIDUES.replace("W", "")
+        seqs = [
+            "".join(no_w[i] for i in rng.integers(0, 19, int(n)))
+            for n in lengths
+        ]
+        seqs[100] = seqs[100][:300] + "W" * 9 + seqs[100][309:]
+        query = "".join(no_w[i] for i in rng.integers(0, 19, 12)) + "W" * 9
+        engine = VectorizedEngine(PROTEIN, lanes=128)
+        batch = engine.score_batch(query, seqs, hot, gaps)
+        np.testing.assert_array_equal(
+            batch.scores, scalar_scores(query, seqs, hot, gaps)
+        )
+        assert batch.scores[100] >= 27000
+        assert batch.saturated == [100]
+        assert engine.stats.redo_lanes == 1
+        assert engine.stats.narrow_sweeps == 3
