@@ -4,9 +4,9 @@
 Recreates the experimental protocol of Section V-B at laptop scale:
 the 20 benchmark queries (accessions P02232...Q9UKN1, lengths 144-5478)
 against a synthetic Swiss-Prot sample, scored with BLOSUM62 and gap
-penalties 10/2, searched with the inter-task engine under a dynamic
-OpenMP-style schedule — and reports wall GCUPS next to the *modelled*
-GCUPS of the paper's dual-Xeon host for the same workload.
+penalties 10/2, searched with the inter-task engine — and reports wall
+GCUPS next to the *modelled* GCUPS of the paper's dual-Xeon host (32
+threads, dynamic OpenMP schedule) for the same workload.
 
 Run:  python examples/protein_search.py [scale]
 """
@@ -15,8 +15,11 @@ import sys
 
 from repro import (
     DevicePerformanceModel,
+    RunConfig,
+    SearchOptions,
     SearchPipeline,
     SyntheticSwissProt,
+    Workload,
     XEON_E5_2670_DUAL,
     make_query_set,
 )
@@ -31,31 +34,29 @@ def main(scale: float = 0.0003) -> None:
           f"longest {db.max_length}")
 
     queries = make_query_set()
-    model = DevicePerformanceModel(XEON_E5_2670_DUAL)
-    pipeline = SearchPipeline(
+    pipeline = SearchPipeline(SearchOptions(
         lanes=8,                 # one AVX register of 32-bit lanes
         profile="sequence",      # the paper's winning SP scheme
-        schedule="dynamic",      # the paper's winning policy
-        threads=32,
-        device_model=model,
-    )
+    ))
+    # The paper's host: both Xeons, 32 threads, dynamic schedule.
+    model = DevicePerformanceModel(XEON_E5_2670_DUAL)
+    workload = Workload.from_lengths(db.lengths, 8)
+    host_config = RunConfig(threads=32, schedule="dynamic")
 
     rows = []
     # A representative subset of the sweep keeps the runtime friendly;
     # pass a larger scale to run more.
     subset = [PAPER_QUERIES[i] for i in (0, 4, 9, 14, 19)]
     for spec in subset:
-        result = pipeline.search(
-            queries[spec.accession], db,
-            query_name=spec.accession, top_k=3,
-        )
+        q = queries[spec.accession]
+        result = pipeline.search(q, db, query_name=spec.accession, top_k=3)
         best = result.hits[0]
         rows.append((
             spec.accession,
             spec.length,
             result.wall_seconds,
             result.wall_gcups,
-            result.modeled_gcups,
+            model.gcups(workload, len(q), host_config),
             f"{best.accession}:{best.score}",
         ))
 

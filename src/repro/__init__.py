@@ -142,8 +142,6 @@ from .serve import (
 from .search import (
     HybridSearchPipeline,
     HybridSearchResult,
-    MultiQueryExecutor,
-    MultiQueryOutcome,
     PartialResult,
     ScanJournal,
     ScanState,
@@ -203,7 +201,7 @@ __all__ = [
     "TieredSearch", "TieredSearchResult",
     "PartialResult", "ScanJournal", "ScanState",
     "HybridSearchPipeline", "HybridSearchResult",
-    "MultiQueryExecutor", "MultiQueryOutcome", "waterman_eggert",
+    "waterman_eggert",
     # service
     "SearchService", "ServiceBatchResult",
     "WorkQueueScheduler", "QueueSearchOutcome", "PreprocessCache",

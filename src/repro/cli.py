@@ -11,9 +11,11 @@ Subcommands
     Serve a database over HTTP (:mod:`repro.serve`): versioned JSON
     wire protocol, admission control, typed errors.
 ``batch``
-    Serve many queries through :class:`repro.SearchService` — shared
-    pre-processing cache, selectable scheduler (``local``/``static``/
-    ``queue``), dynamic-vs-static makespan comparison.
+    Serve many queries: ``--scheduler local`` through
+    :class:`repro.SearchService` (shared pre-processing cache);
+    ``static``/``queue`` through the paper's modelled host/coprocessor
+    split, :class:`repro.HybridSearchPipeline` (dynamic-vs-static
+    makespan comparison).
 ``stream``
     Out-of-core streaming search over a FASTA file: only one chunk (or
     bounded shard, with ``--workers``) is resident at a time, so the
@@ -73,7 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--matrix", default="BLOSUM62")
     s.add_argument("--gap-open", type=int, default=10)
     s.add_argument("--gap-extend", type=int, default=2)
-    s.add_argument("--lanes", type=int, default=8)
+    s.add_argument("--lanes", type=int, default=None,
+                   help="SIMD lanes (default: the kernel's default "
+                        "width, python 8 / numpy 128)")
     s.add_argument("--kernel", choices=("python", "numpy"), default=None,
                    help="inter-task scoring kernel (default: "
                         "$REPRO_KERNEL or python; scores are identical)")
@@ -122,7 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--matrix", default="BLOSUM62")
     sv.add_argument("--gap-open", type=int, default=10)
     sv.add_argument("--gap-extend", type=int, default=2)
-    sv.add_argument("--lanes", type=int, default=8)
+    sv.add_argument("--lanes", type=int, default=None,
+                    help="SIMD lanes (default: the kernel's default "
+                         "width, python 8 / numpy 128)")
     sv.add_argument("--kernel", choices=("python", "numpy"), default=None,
                     help="inter-task scoring kernel (default: "
                          "$REPRO_KERNEL or python; scores are identical)")
@@ -193,7 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--matrix", default="BLOSUM62")
     st.add_argument("--gap-open", type=int, default=10)
     st.add_argument("--gap-extend", type=int, default=2)
-    st.add_argument("--lanes", type=int, default=8)
+    st.add_argument("--lanes", type=int, default=None,
+                    help="SIMD lanes (default: the kernel's default "
+                         "width, python 8 / numpy 128)")
     st.add_argument("--kernel", choices=("python", "numpy"), default=None,
                     help="inter-task scoring kernel (default: "
                          "$REPRO_KERNEL or python; scores are identical)")
@@ -548,7 +556,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     )
     from .scoring import GapModel, get_matrix
     from .search import SearchOptions, SearchRequest
-    from .service import SearchService
 
     if args.db_fasta:
         db = SequenceDatabase.from_fasta(args.db_fasta)
@@ -575,27 +582,19 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         return 2
 
     registry = None
-    service_kwargs = {}
     if args.metrics:
         from .metrics import MetricsRegistry
 
-        # An isolated registry: every layer the service drives (cache,
+        # An isolated registry: every layer the batch drives (cache,
         # pipelines, schedulers) reports here, never into the global
         # METRICS — what gets printed is exactly this batch.
         registry = MetricsRegistry()
-        service_kwargs["metrics"] = registry
 
     if args.workers < 1:
         print("error: --workers must be positive", file=sys.stderr)
         return 2
-    if args.workers > 1 and args.scheduler == "static":
-        print(
-            "error: --workers needs the local or queue scheduler "
-            "(the static split is purely modelled)",
-            file=sys.stderr,
-        )
-        return 2
-    service = SearchService(
+    batch = _run_batch(
+        args,
         SearchOptions(
             matrix=get_matrix(args.matrix),
             gaps=GapModel(args.gap_open, args.gap_extend),
@@ -604,19 +603,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             mode=args.mode,
             top_k=args.top,
         ),
-        scheduler=args.scheduler,
-        workers=args.workers if args.workers > 1 else None,
-        chunks=args.chunks,
-        static_fraction=args.static_fraction,
-        **service_kwargs,
+        requests, db, metrics=registry, workers=args.workers,
     )
-    try:
-        batch = service.run(requests, db)
-    finally:
-        service.close()
     print(
         f"served {len(batch)} queries against {db.name} "
-        f"({len(db)} sequences) with the {batch.scheduler!r} scheduler:"
+        f"({len(db)} sequences) with the {args.scheduler!r} scheduler:"
     )
     print(batch.summary())
     if args.scheduler == "local":
@@ -639,6 +630,52 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print("\nmetrics:")
         print(registry.render())
     return 0
+
+
+def _run_batch(args, options, requests, db, *, metrics=None, tracer=None,
+               workers=1):
+    """Run ``requests`` under ``--scheduler``, in request order.
+
+    ``local`` serves them through :class:`repro.SearchService`;
+    ``static`` and ``queue`` run the paper's modelled host/coprocessor
+    split (Algorithm 2) through :class:`repro.HybridSearchPipeline`.
+    """
+    from contextlib import nullcontext
+
+    from .service import SearchService, ServiceBatchResult
+
+    pool = workers if workers > 1 else None
+    if args.scheduler == "local":
+        kwargs = {} if metrics is None else {"metrics": metrics}
+        with SearchService(
+            options, workers=pool, tracer=tracer, **kwargs
+        ) as service:
+            return service.run(requests, db)
+
+    from .devices import XEON_E5_2670_DUAL, XEON_PHI_57XX
+    from .obs import use_tracer
+    from .perfmodel import DevicePerformanceModel
+    from .search import HybridSearchPipeline
+
+    with HybridSearchPipeline(
+        DevicePerformanceModel(XEON_E5_2670_DUAL),
+        DevicePerformanceModel(XEON_PHI_57XX),
+        options, scheduler=args.scheduler, chunks=args.chunks,
+        metrics=metrics, workers=pool,
+    ) as hybrid, (
+        use_tracer(tracer) if tracer is not None else nullcontext()
+    ):
+        outcomes = tuple(
+            hybrid.search(
+                r.query, db, query_name=r.name, top_k=r.top_k,
+                device_fraction=args.static_fraction,
+            )
+            for r in requests
+        )
+    return ServiceBatchResult(
+        requests=tuple(requests), outcomes=outcomes,
+        database_name=db.name, cache_stats={},
+    )
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
@@ -748,7 +785,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from .obs import Tracer, write_chrome_trace, write_jsonl
     from .scoring import GapModel, get_matrix
     from .search import SearchOptions, SearchRequest
-    from .service import SearchService
 
     if args.db_fasta:
         db = SequenceDatabase.from_fasta(args.db_fasta)
@@ -778,19 +814,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     tracer = Tracer()
     registry = MetricsRegistry()
-    service = SearchService(
+    batch = _run_batch(
+        args,
         SearchOptions(
             matrix=get_matrix(args.matrix),
             gaps=GapModel(args.gap_open, args.gap_extend),
             top_k=args.top,
         ),
-        scheduler=args.scheduler,
-        chunks=args.chunks,
-        static_fraction=args.static_fraction,
-        metrics=registry,
-        tracer=tracer,
+        requests, db, metrics=registry, tracer=tracer,
     )
-    batch = service.run(requests, db)
 
     trace = write_chrome_trace(
         tracer.collector, args.output,

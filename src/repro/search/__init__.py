@@ -1,11 +1,10 @@
 """Database-search pipeline — the paper's Algorithm 1 end to end.
 
 (1) load query and database, (2) pre-process (sort by length, pack lane
-groups), (3) align every group in parallel under a simulated OpenMP
-schedule, (4) sort scores descending.  Alignments are computed for real
-by the engines; time is accounted both as wall clock and as modelled
-device time when a :class:`~repro.perfmodel.DevicePerformanceModel` is
-attached.
+groups), (3) align every group, (4) sort scores descending.  Alignments
+are computed for real by the engines and timed on the wall clock;
+:class:`HybridSearchPipeline` adds the paper's modelled device time for
+Algorithm 2.
 """
 
 from .api import SearchOptions, SearchOutcome, SearchRequest, unify_options
@@ -24,7 +23,6 @@ from .tiered import (
     TierPreset,
     TierStats,
 )
-from .multiquery import MultiQueryExecutor, MultiQueryOutcome
 from .hybrid_pipeline import HybridSearchPipeline, HybridSearchResult
 from .stats import (
     GumbelFit,
@@ -64,8 +62,6 @@ __all__ = [
     "ScanContext",
     "TopK",
     "rank_hits",
-    "MultiQueryExecutor",
-    "MultiQueryOutcome",
     "HybridSearchPipeline",
     "HybridSearchResult",
 ]

@@ -1,14 +1,14 @@
 """The unified search API: options, requests, and the outcome protocol.
 
-Four entrypoints grew out of the paper's algorithms —``SearchPipeline``
-(Algorithm 1), ``StreamingSearch`` (out-of-core Algorithm 1),
-``HybridSearchPipeline`` (Algorithm 2) and ``MultiQueryExecutor`` (the
-query-distribution extension) — and each accreted its own overlapping
-keyword surface.  This module is the single vocabulary they all share:
+Three entrypoints grew out of the paper's algorithms —``SearchPipeline``
+(Algorithm 1), ``StreamingSearch`` (out-of-core Algorithm 1) and
+``HybridSearchPipeline`` (Algorithm 2) — and each accreted its own
+overlapping keyword surface.  This module is the single vocabulary they
+all share:
 
 * :class:`SearchOptions` — every search-semantic knob (scoring scheme,
-  lane width, schedule, fault injector, ...) in one frozen dataclass.
-  All four entrypoints accept it as their ``options`` argument — the
+  lane width, kernel, fault injector, ...) in one frozen dataclass.
+  All three entrypoints accept it as their ``options`` argument — the
   *only* spelling of search semantics; the old per-class keywords are
   rejected with a ``TypeError`` naming the migration (see
   :func:`unify_options`), because the wire schema of
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping, Protocol, Sequence, runtime_checkable
 
 from ..alphabet import PROTEIN, Alphabet
-from ..devices.openmp import Schedule
 from ..exceptions import PipelineError
 from ..faults.injection import FaultInjector
 from ..faults.policy import Deadline
@@ -61,8 +60,9 @@ class SearchOptions:
     """Search semantics shared by every entrypoint.
 
     ``None`` fields mean "the library default": BLOSUM62, the paper's
-    10/2 gap model, and a lane width chosen by the consumer (8 for the
-    plain pipeline, the device's native width in hybrid paths).
+    10/2 gap model, and a lane width chosen by the consumer (the
+    kernel's default width for the plain pipeline, the device's native
+    width in hybrid paths).
 
     Parameters
     ----------
@@ -80,10 +80,6 @@ class SearchOptions:
         are bit-identical across kernels.
     profile:
         ``"sequence"`` (SP) or ``"query"`` (QP) score addressing.
-    schedule:
-        OpenMP policy for the simulated group loop.
-    threads:
-        Virtual thread count for the schedule simulation.
     mode:
         Search tier: ``"exact"`` (the default — exhaustive SW over
         every sequence, bit-identical to every release so far),
@@ -119,8 +115,6 @@ class SearchOptions:
     kernel: str | None = None
     profile: str = "sequence"
     mode: str = "exact"
-    schedule: Schedule | str = Schedule.DYNAMIC
-    threads: int = 4
     top_k: int = 10
     chunk_size: int = 512
     alphabet: Alphabet = field(default_factory=lambda: PROTEIN)
@@ -130,8 +124,6 @@ class SearchOptions:
     def __post_init__(self) -> None:
         if self.lanes is not None and self.lanes < 1:
             raise PipelineError(f"lanes must be positive, got {self.lanes}")
-        if self.threads < 1:
-            raise PipelineError(f"threads must be positive, got {self.threads}")
         if self.top_k < 0:
             raise PipelineError(
                 f"top_k must be non-negative, got {self.top_k}"
@@ -159,7 +151,6 @@ class SearchOptions:
                 f"(faults target the lane groups the tiered path never "
                 f"forms) — use mode='exact'"
             )
-        Schedule.parse(self.schedule)  # fail fast on bad schedule specs
 
     # ------------------------------------------------------------------
     def resolved_matrix(self) -> SubstitutionMatrix:

@@ -81,6 +81,21 @@ class HybridSearchResult:
         }
 
 
+def require_exact(options: SearchOptions, owner: str) -> None:
+    """Refuse a tiered ``mode`` on a modelled heterogeneous split.
+
+    Both schedulers search each side with ``top_k=0`` and merge the
+    per-sequence score arrays; a tiered search leaves pruned sequences
+    at score 0, so the merged ranking would silently be wrong.
+    """
+    if options.mode != "exact":
+        raise PipelineError(
+            f"{owner} runs exact searches only, got mode="
+            f"{options.mode!r}: the modelled host/device split merges "
+            f"whole score arrays, which a tiered search does not produce"
+        )
+
+
 class HybridSearchPipeline:
     """Runs Algorithm 2 for real across two modelled devices.
 
@@ -91,6 +106,12 @@ class HybridSearchPipeline:
     whichever side is free, no per-workload ratio tuning, and
     ``device_fraction`` only positions the static reference makespan
     reported next to the dynamic one.  Scores are identical either way.
+
+    ``workers > 1`` (queue scheduler only) drains the planned chunks on
+    a pool of real worker processes, built once and released by
+    :meth:`close`; the static split is purely modelled and rejects it.
+    Only ``mode="exact"`` options are accepted (see
+    :func:`require_exact`).
     """
 
     def __init__(
@@ -103,12 +124,20 @@ class HybridSearchPipeline:
         scheduler: str = "static",
         chunks: int = 24,
         metrics: MetricsRegistry | None = None,
+        workers: int | None = None,
         **legacy,
     ) -> None:
         opts = unify_options(options, legacy, owner="HybridSearchPipeline")
         if scheduler not in ("static", "queue"):
             raise PipelineError(
                 f"scheduler must be 'static' or 'queue', got {scheduler!r}"
+            )
+        require_exact(opts, "HybridSearchPipeline")
+        if scheduler == "static" and workers not in (None, 1):
+            raise PipelineError(
+                "the static scheduler is purely modelled and has no "
+                f"process executor (workers={workers}); use "
+                "scheduler='queue' for a worker pool"
             )
         self.options = opts
         self.host_model = host_model
@@ -118,16 +147,42 @@ class HybridSearchPipeline:
         self.chunks = chunks
         self.alphabet = opts.alphabet
         self.metrics = metrics
-        # One real pipeline per side, each at its device's lane width
-        # (unless the options pin an explicit width).
-        self._host_pipe = SearchPipeline(
-            opts.merged(lanes=opts.resolved_lanes(host_model.spec.lanes32)),
-            metrics=metrics,
-        )
-        self._device_pipe = SearchPipeline(
-            opts.merged(lanes=opts.resolved_lanes(device_model.spec.lanes32)),
-            metrics=metrics,
-        )
+        self._queue = None
+        if scheduler == "queue":
+            # Imported lazily: repro.service builds on this package.
+            from ..service.scheduler import WorkQueueScheduler
+
+            self._queue = WorkQueueScheduler(
+                host_model, device_model, opts, link=link, chunks=chunks,
+                metrics=metrics, workers=workers,
+            )
+        else:
+            # One real pipeline per side, each at its device's lane
+            # width (unless the options pin an explicit width).
+            self._host_pipe = SearchPipeline(
+                opts.merged(
+                    lanes=opts.resolved_lanes(host_model.spec.lanes32)
+                ),
+                metrics=metrics,
+            )
+            self._device_pipe = SearchPipeline(
+                opts.merged(
+                    lanes=opts.resolved_lanes(device_model.spec.lanes32)
+                ),
+                metrics=metrics,
+            )
+
+    def close(self) -> None:
+        """Release the queue scheduler's worker pool, if one is running."""
+        if self._queue is not None:
+            self._queue.close()
+
+    def __enter__(self) -> "HybridSearchPipeline":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.close()
+        return False
 
     def search(
         self,
@@ -230,14 +285,10 @@ class HybridSearchPipeline:
         self, query, database, *, device_fraction, query_name, top_k,
     ) -> HybridSearchResult:
         """Dynamic path: delegate to the work-queue scheduler."""
-        # Imported lazily: repro.service builds on this module.
-        from ..service.scheduler import WorkQueueScheduler
-
-        outcome = WorkQueueScheduler(
-            self.host_model, self.device_model,
-            options=self.options, link=self.link, chunks=self.chunks,
-            static_fraction=device_fraction, metrics=self.metrics,
-        ).search(query, database, query_name=query_name, top_k=top_k)
+        outcome = self._queue.search(
+            query, database, query_name=query_name, top_k=top_k,
+            static_fraction=device_fraction,
+        )
         return HybridSearchResult(
             result=outcome.result,
             device_fraction=outcome.plan.device_residue_fraction,

@@ -1,11 +1,11 @@
-"""The search pipeline (paper Algorithm 1, hybrid variant Algorithm 2).
+"""The search pipeline (paper Algorithm 1).
 
 Wires the substrates together: the database is pre-processed into lane
-groups (step 2), the group loop runs under a simulated OpenMP schedule
-while computing *real* alignments with the inter-task engine (step 3),
-and scores are ranked (step 4).  Attaching a device model adds modelled
-wall time, so the same pipeline object produces both correctness results
-and the paper's GCUPS accounting.
+groups (step 2), every group is scored with the inter-task engine
+(step 3) — in a plain loop, or on a process pool — and scores are
+ranked (step 4).  The paper's OpenMP schedule and its modelled device
+time live in :mod:`repro.devices` and :mod:`repro.perfmodel`; this
+pipeline computes real alignments and wall-clock GCUPS only.
 """
 
 from __future__ import annotations
@@ -18,11 +18,9 @@ from ..core.engine import as_codes
 from ..core.traceback import align_pair
 from ..db.database import SequenceDatabase
 from ..db.preprocess import PreprocessedDatabase, preprocess_database
-from ..devices.openmp import ParallelFor, Schedule
 from ..exceptions import ParallelError, PipelineError
 from ..metrics.counters import METRICS, MetricsRegistry
 from ..obs.tracer import get_tracer
-from ..perfmodel.model import DevicePerformanceModel, RunConfig, Workload
 from .api import SearchOptions, unify_options
 from .gcups import Stopwatch
 from .result import SearchResult
@@ -38,24 +36,20 @@ class SearchPipeline:
     ----------
     options:
         A :class:`~repro.search.SearchOptions` carrying the search
-        semantics (scoring scheme, lanes, profile, schedule, threads,
-        alphabet, fault injector) — the only spelling of search
-        semantics.  The removed per-class keywords (``matrix``,
-        ``gaps``, ``lanes``, ...) raise a ``TypeError`` naming the
-        migration.
-    device_model:
-        Optional :class:`DevicePerformanceModel`; adds modelled GCUPS.
+        semantics (scoring scheme, lanes, kernel, profile, alphabet,
+        fault injector) — the only spelling of search semantics.  The
+        removed per-class keywords (``matrix``, ``gaps``, ``lanes``,
+        ...) raise a ``TypeError`` naming the migration.
     block_cols:
         Cache-blocking tile width forwarded to the engine.
     workers:
         Real OS processes scoring lane-group chunks concurrently
         (:class:`repro.parallel.ProcessPoolBackend`).  ``1`` (default)
-        keeps the in-process group loop under the simulated OpenMP
-        schedule.  The pool persists across searches of the same
-        database, the database is broadcast to it once, and merged
-        scores are bit-identical to the serial path; if the pool cannot
-        start, the pipeline falls back to in-process execution (counted
-        in ``parallel.fallback``).
+        keeps the in-process group loop.  The pool persists across
+        searches of the same database, the database is broadcast to it
+        once, and merged scores are bit-identical to the serial path;
+        if the pool cannot start, the pipeline falls back to in-process
+        execution (counted in ``parallel.fallback``).
     parallel_chunk_size:
         Lane groups per worker task; ``None`` lets the backend pick.
         Scores are chunking-invariant.
@@ -74,7 +68,6 @@ class SearchPipeline:
         self,
         options: SearchOptions | None = None,
         *,
-        device_model: DevicePerformanceModel | None = None,
         block_cols: int | None = None,
         metrics: MetricsRegistry | None = None,
         workers: int | None = None,
@@ -89,9 +82,6 @@ class SearchPipeline:
             ctx.matrix, ctx.gaps, ctx.alphabet
         )
         self.kernel, self.lanes = ctx.kernel, ctx.lanes
-        self.schedule = Schedule.parse(opts.schedule)
-        self.threads = opts.threads
-        self.device_model = device_model
         self.injector = opts.injector
         self.metrics = metrics if metrics is not None else METRICS
         self.engine = ctx.make_engine()
@@ -299,13 +289,13 @@ class SearchPipeline:
                             reused=preprocessed is not None,
                         )
                 groups = pre.groups
-                # Step 3: the parallel group loop.  ParallelFor simulates
-                # the OpenMP schedule (and its makespan) while the work
-                # callback computes real scores.
+                # Step 3: score every lane group (the paper's OpenMP
+                # group loop, here a plain loop in group order).
                 sorted_scores = np.zeros(len(pre.database), dtype=np.int64)
                 sat_counts: dict[int, int] = {}
                 corrupted_redone = 0
                 prepared = self.engine._prepare(q, self.matrix)
+                deadline = self.options.deadline
 
                 def compute_group(g: int) -> np.ndarray:
                     # The engine redoes saturated lanes exactly; the
@@ -317,18 +307,6 @@ class SearchPipeline:
                     )
                     sat_counts[g] = len(sat)
                     return scores
-
-                deadline = self.options.deadline
-
-                def work(g: int) -> None:
-                    nonlocal corrupted_redone
-                    if deadline is not None:
-                        deadline.check(f"group {g}")
-                    scores, redos = guarded_transmit(
-                        self.injector, g, lambda: compute_group(g)
-                    )
-                    corrupted_redone += redos
-                    sorted_scores[groups[g].indices] = scores
 
                 with tracer.span("pipeline.score") as sp:
                     par = (
@@ -349,10 +327,14 @@ class SearchPipeline:
                                 corrupted_redone=corrupted_redone,
                             )
                     else:
-                        costs = pre.group_cells(len(q)).astype(np.float64)
-                        ParallelFor(self.threads, self.schedule).run(
-                            costs, work
-                        )
+                        for g in range(len(groups)):
+                            if deadline is not None:
+                                deadline.check(f"group {g}")
+                            group_scores, redos = guarded_transmit(
+                                self.injector, g, lambda: compute_group(g)
+                            )
+                            corrupted_redone += redos
+                            sorted_scores[groups[g].indices] = group_scores
                         sat_total = sum(sat_counts.values())
                         if sp:
                             sp.set_attributes(
@@ -379,28 +361,6 @@ class SearchPipeline:
 
             cells = len(q) * database.total_residues
 
-            modeled = None
-            if self.device_model is not None:
-                # The model emulates the device's SIMD units: its lane
-                # count is capped at the device's native vector width.
-                # Software lane widths above that (the numpy kernel
-                # defaults to 128 for array efficiency) are a host-side
-                # batching choice, not extra modeled hardware.
-                wl = Workload.from_lengths(
-                    database.lengths,
-                    min(self.lanes, self.device_model.spec.lanes32),
-                )
-                cfg = RunConfig(
-                    vectorization="intrinsic",
-                    profile=self.engine.profile.value,
-                    threads=min(
-                        self.threads, self.device_model.spec.max_threads
-                    ),
-                    schedule=self.schedule,
-                    blocking=self.engine.block_cols is not None,
-                )
-                modeled = self.device_model.run_seconds(wl, len(q), cfg)
-
             metrics = self.metrics
             metrics.increment("pipeline.searches")
             metrics.observe("pipeline.search.seconds", watch.seconds)
@@ -423,7 +383,6 @@ class SearchPipeline:
                 hits=hits,
                 cells=cells,
                 wall_seconds=watch.seconds,
-                modeled_seconds=modeled,
                 saturated_recomputed=sat_total,
                 corrupted_redone=corrupted_redone,
             )

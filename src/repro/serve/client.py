@@ -314,7 +314,7 @@ class SearchClient:
         """A batch -> :class:`~repro.service.ServiceBatchResult`.
 
         The same result type as in-process: outcomes in request order,
-        the server's scheduler/cache stats, the merged-hits view.
+        the server's cache stats, the merged-hits view.
         """
         self._check_database(database)
         reqs = tuple(
@@ -334,7 +334,6 @@ class SearchClient:
             return ServiceBatchResult(
                 requests=reqs,
                 outcomes=outcomes,
-                scheduler=doc["scheduler"],
                 database_name=doc["database_name"],
                 cache_stats=dict(doc["cache_stats"]),
             )

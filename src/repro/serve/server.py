@@ -59,7 +59,7 @@ from ..exceptions import (
 )
 from ..metrics.counters import METRICS, MetricsRegistry
 from ..metrics.export import to_prometheus
-from ..obs.context import TRACE_HEADER, TraceContext
+from ..obs.context import TraceContext
 from ..obs.tracer import Tracer, get_tracer, use_tracer
 from ..search.api import SearchOptions, SearchRequest
 from ..service.service import SearchService
@@ -137,8 +137,8 @@ class SearchServer:
     tracer:
         Optional tracer forwarded to the built service.
     service_kwargs:
-        Forwarded to :class:`~repro.service.SearchService` (scheduler,
-        executor, workers, max_queue_depth, ...).
+        Forwarded to :class:`~repro.service.SearchService` (executor,
+        workers, max_queue_depth, ...).
     """
 
     def __init__(
@@ -423,7 +423,8 @@ class SearchServer:
             "database": self.database.name,
             "sequences": len(self.database),
             "residues": int(self.database.total_residues),
-            "scheduler": self.service.scheduler,
+            # Required by wire schema v1; the service is local-only.
+            "scheduler": "local",
             "executor": self.service.executor,
             "uptime_seconds": time.monotonic() - self._started,
             "inflight": inflight,
@@ -435,7 +436,9 @@ class SearchServer:
         The server's scoring scheme is fixed at construction; a client
         that *believes* it is searching under different options must
         fail loudly, not silently get this server's answers.  Deadlines
-        are per-request concerns and excluded from the comparison.
+        are per-request concerns and excluded from the comparison, as
+        are the retired ``schedule``/``threads`` keys every v1 client
+        still sends (no result ever depended on them).
         """
         sent = body.get("options")
         if sent is None:
@@ -443,7 +446,10 @@ class SearchServer:
         if not isinstance(sent, Mapping):
             raise WireError("options must be a wire-encoded object")
         ours = {k: v for k, v in self._options_wire.items() if k != "deadline"}
-        theirs = {k: v for k, v in sent.items() if k != "deadline"}
+        theirs = {
+            k: v for k, v in sent.items()
+            if k not in ("deadline", *wire.RETIRED_OPTION_KEYS)
+        }
         if ours != theirs:
             different = sorted(
                 k for k in set(ours) | set(theirs)
@@ -527,7 +533,7 @@ class SearchServer:
         )
         doc: dict[str, Any] = {
             "outcomes": [wire.encode_outcome(o) for o in batch.outcomes],
-            "scheduler": batch.scheduler,
+            "scheduler": "local",  # required by wire schema v1
             "database_name": batch.database_name,
             "cache_stats": wire._plain_json(dict(batch.cache_stats)),
         }

@@ -35,7 +35,6 @@ import numpy as np
 
 from ..alphabet import Alphabet
 from ..core.types import Traceback
-from ..devices.openmp import Schedule
 from ..exceptions import ReproError, WireError, error_class, status_for
 from ..faults.policy import Deadline
 from ..scoring.gaps import GapModel
@@ -66,6 +65,11 @@ __all__ = [
 #: to the field vocabulary and regenerate
 #: ``schemas/search_wire.schema.json`` in the same commit.
 WIRE_SCHEMA_VERSION = 1
+
+#: Options keys v1 peers send but no search reads any more: they only
+#: steered the simulated OpenMP group loop.  Decoders ignore them and
+#: the server's options handshake skips them.
+RETIRED_OPTION_KEYS = ("schedule", "threads")
 
 
 def envelope(kind: str, body: Mapping[str, Any]) -> dict:
@@ -136,8 +140,6 @@ def encode_options(options: SearchOptions) -> dict:
         "lanes": options.lanes,
         "kernel": options.kernel,
         "profile": options.profile,
-        "schedule": Schedule.parse(options.schedule).value,
-        "threads": options.threads,
         "top_k": options.top_k,
         "chunk_size": options.chunk_size,
         "alphabet": {
@@ -158,7 +160,11 @@ def encode_options(options: SearchOptions) -> dict:
 
 
 def decode_options(doc: Mapping[str, Any]) -> SearchOptions:
-    """Wire dict -> ``SearchOptions`` (inverse of :func:`encode_options`)."""
+    """Wire dict -> ``SearchOptions`` (inverse of :func:`encode_options`).
+
+    The :data:`RETIRED_OPTION_KEYS` a v1 peer may still send are read
+    by nobody and ignored.
+    """
     try:
         gaps = doc["gaps"]
         deadline = doc["deadline"]
@@ -175,8 +181,6 @@ def decode_options(doc: Mapping[str, Any]) -> SearchOptions:
             profile=doc["profile"],
             # Optional likewise: absent means the exhaustive default.
             mode=doc.get("mode", "exact"),
-            schedule=Schedule.parse(doc["schedule"]),
-            threads=doc["threads"],
             top_k=doc["top_k"],
             chunk_size=doc["chunk_size"],
             alphabet=Alphabet(alpha["letters"], wildcard=alpha["wildcard"]),

@@ -33,11 +33,19 @@ from ..runtime.hybrid import HybridExecutor
 from ..runtime.offload import OffloadRegion
 from ..runtime.pcie import PCIE_GEN2_X16, PCIeLink
 from ..search.api import SearchOptions
+from ..search.hybrid_pipeline import require_exact
 from ..search.pipeline import SearchPipeline
 from ..search.result import Hit, SearchResult
 from ..search.scan import rank_hits
 
 __all__ = ["QueueSearchOutcome", "WorkQueueScheduler"]
+
+
+def _check_fraction(fraction: float) -> None:
+    if not 0.0 <= fraction <= 1.0:
+        raise PipelineError(
+            f"static fraction must be within [0, 1], got {fraction}"
+        )
 
 
 @dataclass
@@ -108,7 +116,8 @@ class WorkQueueScheduler:
     static_fraction:
         Device share of the *reference* static split reported next to
         the dynamic makespan (the knob the paper hand-tunes; the queue
-        itself has no such knob).
+        itself has no such knob).  :meth:`search` can override it per
+        call.
     metrics:
         Registry receiving the ``queue.*`` metrics; defaults to the
         process-wide one and is forwarded to both per-side pipelines.
@@ -125,6 +134,9 @@ class WorkQueueScheduler:
     parallel_broadcast:
         Broadcast strategy forwarded to the pool (``"auto"``, ``"shm"``
         or ``"pickle"``).
+
+    Only ``mode="exact"`` options are accepted: the chunks are merged
+    as whole score arrays, which a tiered search does not produce.
     """
 
     def __init__(
@@ -140,15 +152,13 @@ class WorkQueueScheduler:
         workers: int | None = None,
         parallel_broadcast: str = "auto",
     ) -> None:
-        if not 0.0 <= static_fraction <= 1.0:
-            raise PipelineError(
-                f"static fraction must be within [0, 1], got {static_fraction}"
-            )
+        _check_fraction(static_fraction)
         if workers is not None and int(workers) < 1:
             raise PipelineError(
                 f"worker count must be positive, got {workers}"
             )
         opts = options if options is not None else SearchOptions()
+        require_exact(opts, "WorkQueueScheduler")
         self.options = opts
         self.host_model = host_model
         self.device_model = device_model
@@ -305,17 +315,22 @@ class WorkQueueScheduler:
         *,
         query_name: str = "query",
         top_k: int | None = None,
+        static_fraction: float | None = None,
     ) -> QueueSearchOutcome:
         """Plan the queue, execute every chunk on its worker, merge.
 
         The schedule is deterministic (stable chunking, deterministic
         pulls), so repeated calls assign identical chunks and return
-        identical scores.
+        identical scores.  ``static_fraction`` positions this call's
+        static reference split (``None``: the constructor's).
         """
         if len(database) == 0:
             raise PipelineError("cannot search an empty database")
         if top_k is None:
             top_k = self.options.top_k
+        if static_fraction is None:
+            static_fraction = self.static_fraction
+        _check_fraction(static_fraction)
         q = as_codes(query, self.alphabet)
         tracer = get_tracer()
         with tracer.span("queue.search") as root:
@@ -347,6 +362,7 @@ class WorkQueueScheduler:
                 return self._finish(
                     q, database, plan, scores, wall,
                     query_name=query_name, top_k=top_k,
+                    static_fraction=static_fraction,
                     tracer=tracer, root=root,
                 )
 
@@ -390,19 +406,20 @@ class WorkQueueScheduler:
             return self._finish(
                 q, database, plan, scores, wall,
                 query_name=query_name, top_k=top_k,
+                static_fraction=static_fraction,
                 tracer=tracer, root=root,
             )
 
     def _finish(
         self, q, database, plan, scores, wall,
-        *, query_name, top_k, tracer, root,
+        *, query_name, top_k, static_fraction, tracer, root,
     ) -> QueueSearchOutcome:
         """Rank merged scores and attach the static reference makespan."""
         with tracer.span("queue.merge"):
             hits = rank_hits(scores, database, top_k)
         static = HybridExecutor(
             self.host_model, self.device_model, link=self.link
-        ).run(database.lengths, len(q), self.static_fraction)
+        ).run(database.lengths, len(q), static_fraction)
         self.metrics.set_gauge(
             "queue.device_fraction", plan.device_residue_fraction
         )
@@ -421,6 +438,6 @@ class WorkQueueScheduler:
         return QueueSearchOutcome(
             result=result,
             plan=plan,
-            static_fraction=self.static_fraction,
+            static_fraction=static_fraction,
             static_modeled_makespan=static.total_seconds,
         )

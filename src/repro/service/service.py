@@ -1,24 +1,20 @@
 """The batched search front-end.
 
-One object, one ``run()`` — where callers previously picked between
-four entrypoints with inconsistent kwargs, :class:`SearchService`
-accepts a batch of :class:`~repro.search.SearchRequest` and routes it
-through one of three executors:
+One object, one ``run()``: :class:`SearchService` accepts a batch of
+:class:`~repro.search.SearchRequest` and runs it through the local
+Algorithm 1 pipeline.  The whole batch shares one sort/lane-pack through
+:class:`~repro.service.PreprocessCache` (keyed on database fingerprint +
+lane count), so N queries pay for one ``preprocess_database`` instead
+of N.  The pipeline scores in this process, on a persistent worker pool
+(``executor="process"``), or streams big databases through bounded
+shards (``executor="sharded"``).
 
-``local``
-    Algorithm 1 on the host pipeline.  The whole batch shares one
-    sort/lane-pack through :class:`~repro.service.PreprocessCache`
-    (keyed on database fingerprint + lane count), so N queries pay for
-    one ``preprocess_database`` instead of N.
-``static``
-    Algorithm 2 at a fixed host/device split per query (the paper's
-    scheme, ratio hand-tuned via ``static_fraction``).
-``queue``
-    The dynamic work-queue scheduler — no ratio to tune; each outcome
-    reports its makespan next to the static reference.
+The paper's modelled host/coprocessor split (Algorithm 2, static or
+dynamic work queue) is not a serving concern: it lives in
+:class:`~repro.search.HybridSearchPipeline`.
 
 Every outcome satisfies the :class:`~repro.search.SearchOutcome`
-protocol and is score-identical to the corresponding single-query path.
+protocol and is score-identical to the single-query pipeline.
 """
 
 from __future__ import annotations
@@ -32,18 +28,13 @@ from ..db.database import SequenceDatabase
 from ..exceptions import PipelineError, ServiceOverloaded
 from ..metrics.counters import METRICS, MetricsRegistry
 from ..obs.tracer import Tracer, get_tracer, use_tracer
-from ..perfmodel.model import DevicePerformanceModel
-from ..runtime.pcie import PCIE_GEN2_X16, PCIeLink
 from ..search.api import SearchOptions, SearchOutcome, SearchRequest
-from ..search.hybrid_pipeline import HybridSearchPipeline
 from ..search.pipeline import SearchPipeline
 from ..search.result import Hit
 from .cache import PreprocessCache
-from .scheduler import WorkQueueScheduler
 
 __all__ = ["ServiceBatchResult", "SearchService"]
 
-SCHEDULERS = ("local", "static", "queue")
 EXECUTORS = ("inprocess", "process", "sharded")
 
 
@@ -53,7 +44,6 @@ class ServiceBatchResult:
 
     requests: tuple[SearchRequest, ...]
     outcomes: tuple[SearchOutcome, ...]
-    scheduler: str
     database_name: str
     cache_stats: dict
 
@@ -111,7 +101,6 @@ class ServiceBatchResult:
         """Identifying fields (:class:`~repro.search.SearchOutcome`)."""
         return {
             "kind": "service-batch",
-            "scheduler": self.scheduler,
             "database_name": self.database_name,
             "queries": [r.name for r in self.requests],
             "cache": dict(self.cache_stats),
@@ -131,44 +120,34 @@ class ServiceBatchResult:
 
 
 class SearchService:
-    """Unified, batched front door over the search entrypoints.
+    """Unified, batched front door over the local search pipeline.
 
     Parameters
     ----------
     options:
         Shared :class:`~repro.search.SearchOptions` for every request
         (per-request ``top_k``/``traceback`` still apply).
-    scheduler:
-        ``"local"``, ``"static"`` or ``"queue"`` (see module docstring).
     executor:
         ``"inprocess"`` (default) runs everything on this process;
         ``"process"`` scores on a persistent pool of ``workers`` real
-        OS processes (``local`` searches through
-        ``SearchPipeline(workers=N)``, ``queue`` drains its chunk queue
-        through the same pool).  ``"sharded"`` (``local`` scheduler
-        only) streams databases larger than ``shard_residues`` through
-        the bounded-memory sharded scan on the worker pool instead of
+        OS processes (``SearchPipeline(workers=N)``).  ``"sharded"``
+        streams databases larger than ``shard_residues`` through the
+        bounded-memory sharded scan on the worker pool instead of
         preprocessing them whole — the out-of-core path; smaller
         databases (and traceback requests, which need the resident
         pipeline) still take the cached-preprocess route.  Scores are
         identical every way; a pool that cannot start falls back to
-        in-process execution.  The ``static`` scheduler is a purely
-        modelled split and has no process executor.
+        in-process execution.
     workers:
         Pool size for the process/sharded executors; defaults to the
         CPU count.  Passing ``workers > 1`` implies
         ``executor="process"`` when no executor was chosen.
+    cache_capacity:
+        :class:`PreprocessCache` size.
     shard_residues:
         Sharded-executor knob: databases above this many residues
         stream through shards of (at most) this size; others go
         through the resident pipeline.
-    host_model, device_model:
-        Device pair for the heterogeneous schedulers; defaults to the
-        paper's dual Xeon + Xeon Phi when needed.
-    cache_capacity:
-        :class:`PreprocessCache` size (local scheduler).
-    chunks, static_fraction, link:
-        Heterogeneous knobs forwarded to the executor.
     max_queue_depth:
         Admission cap: a batch larger than this is rejected whole with
         :class:`~repro.exceptions.ServiceOverloaded` (counted in
@@ -177,9 +156,9 @@ class SearchService:
         (default) admits any batch size.
     metrics:
         Registry every layer under this service reports into — the
-        cache *and* the pipelines/schedulers it drives.  Pass an
-        isolated :class:`MetricsRegistry` and the process-wide
-        :data:`METRICS` stays untouched.
+        cache *and* the pipelines it drives.  Pass an isolated
+        :class:`MetricsRegistry` and the process-wide :data:`METRICS`
+        stays untouched.
     tracer:
         Optional :class:`~repro.obs.Tracer` activated (via
         :func:`~repro.obs.use_tracer`) for the duration of every
@@ -193,24 +172,14 @@ class SearchService:
         self,
         options: SearchOptions | None = None,
         *,
-        scheduler: str = "local",
         executor: str = "inprocess",
         workers: int | None = None,
-        host_model: DevicePerformanceModel | None = None,
-        device_model: DevicePerformanceModel | None = None,
         cache_capacity: int = 8,
-        chunks: int = 24,
-        static_fraction: float = 0.55,
         shard_residues: int = 1_000_000,
         max_queue_depth: int | None = None,
-        link: PCIeLink = PCIE_GEN2_X16,
         metrics: MetricsRegistry = METRICS,
         tracer: Tracer | None = None,
     ) -> None:
-        if scheduler not in SCHEDULERS:
-            raise PipelineError(
-                f"scheduler must be one of {SCHEDULERS}, got {scheduler!r}"
-            )
         if executor not in EXECUTORS:
             raise PipelineError(
                 f"executor must be one of {EXECUTORS}, got {executor!r}"
@@ -230,83 +199,38 @@ class SearchService:
             raise PipelineError(
                 f"max_queue_depth must be positive, got {max_queue_depth}"
             )
-        if executor == "sharded" and scheduler != "local":
-            raise PipelineError(
-                "the sharded executor streams through the local pipeline "
-                f"only; scheduler {scheduler!r} does not support it"
-            )
-        if executor in ("process", "sharded"):
-            if scheduler == "static":
-                raise PipelineError(
-                    "the static scheduler is purely modelled and has no "
-                    "process executor; use 'local' or 'queue'"
-                )
-            if workers is None:
-                workers = os.cpu_count() or 2
+        if executor != "inprocess" and workers is None:
+            workers = os.cpu_count() or 2
         self.executor = executor
         self.workers = int(workers) if workers is not None else 1
         self.options = options if options is not None else SearchOptions()
-        if self.options.mode != "exact" and scheduler != "local":
-            raise PipelineError(
-                f"tiered mode {self.options.mode!r} runs on the local "
-                f"scheduler only; the {scheduler!r} scheduler is a "
-                f"modelled heterogeneous split and stays exact"
-            )
-        self.scheduler = scheduler
         self.metrics = metrics
         self.tracer = tracer
         self.cache = PreprocessCache(cache_capacity, metrics=metrics)
-        if scheduler != "local" and (host_model is None or device_model is None):
-            from ..devices import XEON_E5_2670_DUAL, XEON_PHI_57XX
-
-            if host_model is None:
-                host_model = DevicePerformanceModel(XEON_E5_2670_DUAL)
-            if device_model is None:
-                device_model = DevicePerformanceModel(XEON_PHI_57XX)
-        self.host_model = host_model
-        self.device_model = device_model
         self.shard_residues = int(shard_residues)
         self.max_queue_depth = (
             int(max_queue_depth) if max_queue_depth is not None else None
         )
-        pool_workers = self.workers if executor == "process" else None
-        if scheduler == "local":
-            self._pipe = SearchPipeline(
-                self.options, metrics=metrics, workers=pool_workers
-            )
-            if executor == "sharded":
-                from ..search.streaming import StreamingSearch
+        self._pipe = SearchPipeline(
+            self.options, metrics=metrics,
+            workers=self.workers if executor == "process" else None,
+        )
+        self._stream = None
+        if executor == "sharded":
+            from ..search.streaming import StreamingSearch
 
-                self._stream = StreamingSearch(
-                    self.options, metrics=metrics,
-                    workers=self.workers,
-                    shard_residues=self.shard_residues,
-                )
-        elif scheduler == "static":
-            self._hybrid = HybridSearchPipeline(
-                host_model, device_model, self.options, link=link,
-                metrics=metrics,
-            )
-            self._static_fraction = static_fraction
-        else:
-            self._queue = WorkQueueScheduler(
-                host_model, device_model, self.options,
-                link=link, chunks=chunks, static_fraction=static_fraction,
-                metrics=metrics, workers=pool_workers,
+            self._stream = StreamingSearch(
+                self.options, metrics=metrics,
+                workers=self.workers,
+                shard_residues=self.shard_residues,
             )
 
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Release the process executor's worker pool, if any."""
-        pipe = getattr(self, "_pipe", None)
-        if pipe is not None:
-            pipe.close()
-        stream = getattr(self, "_stream", None)
-        if stream is not None:
-            stream.close()
-        queue = getattr(self, "_queue", None)
-        if queue is not None:
-            queue.close()
+        self._pipe.close()
+        if self._stream is not None:
+            self._stream.close()
 
     def __enter__(self) -> "SearchService":
         return self
@@ -339,15 +263,12 @@ class SearchService:
 
     def _deadline_targets(self) -> list:
         """Every live executor whose options can carry a deadline."""
-        stream = getattr(self, "_stream", None)
         return [
             obj
             for obj in (
-                getattr(self, "_pipe", None),
-                stream,
-                getattr(stream, "_sharded", None),
-                getattr(self, "_hybrid", None),
-                getattr(self, "_queue", None),
+                self._pipe,
+                self._stream,
+                getattr(self._stream, "_sharded", None),
             )
             if obj is not None and hasattr(obj, "options")
         ]
@@ -395,41 +316,28 @@ class SearchService:
                 self.metrics.timer("service.request.seconds").time(), \
                 self._deadline_scope(req.deadline):
             if sp:
-                sp.set_attributes(
-                    request=req.name, scheduler=self.scheduler,
-                    database=database.name,
-                )
-            if self.scheduler == "local":
-                if (
-                    self.executor == "sharded"
-                    and not req.traceback
-                    and database.total_residues > self.shard_residues
-                ):
-                    # Out-of-core route: never preprocess/cache the
-                    # whole database, stream it in bounded shards.
-                    return self._stream.search_database(
-                        req.query, database, query_name=req.name,
-                        top_k=req.top_k,
-                    )
-                # Tiered modes never consume a lane-pack; skip the
-                # preprocess cache rather than building an unused one.
-                pre = (
-                    self.cache.get(database, lanes=self._pipe.lanes)
-                    if self.options.mode == "exact" else None
-                )
-                return self._pipe.search(
-                    req.query, database, query_name=req.name,
-                    top_k=req.top_k, traceback=req.traceback,
-                    preprocessed=pre,
-                )
-            if self.scheduler == "static":
-                return self._hybrid.search(
+                sp.set_attributes(request=req.name, database=database.name)
+            if (
+                self._stream is not None
+                and not req.traceback
+                and database.total_residues > self.shard_residues
+            ):
+                # Out-of-core route: never preprocess/cache the whole
+                # database, stream it in bounded shards.
+                return self._stream.search_database(
                     req.query, database, query_name=req.name,
                     top_k=req.top_k,
-                    device_fraction=self._static_fraction,
                 )
-            return self._queue.search(
-                req.query, database, query_name=req.name, top_k=req.top_k
+            # Tiered modes never consume a lane-pack; skip the
+            # preprocess cache rather than building an unused one.
+            pre = (
+                self.cache.get(database, lanes=self._pipe.lanes)
+                if self.options.mode == "exact" else None
+            )
+            return self._pipe.search(
+                req.query, database, query_name=req.name,
+                top_k=req.top_k, traceback=req.traceback,
+                preprocessed=pre,
             )
 
     def search(
@@ -467,15 +375,13 @@ class SearchService:
             with get_tracer().span("service.batch") as root:
                 if root:
                     root.set_attributes(
-                        scheduler=self.scheduler, database=database.name,
-                        requests=len(reqs),
+                        database=database.name, requests=len(reqs),
                     )
                 outcomes = tuple(self._run_one(r, database) for r in reqs)
         self.metrics.increment("service.batches")
         return ServiceBatchResult(
             requests=reqs,
             outcomes=outcomes,
-            scheduler=self.scheduler,
             database_name=database.name,
             cache_stats=self.cache.stats(),
         )

@@ -15,7 +15,6 @@ from repro import (
     DevicePerformanceModel,
     GapModel,
     HybridSearchPipeline,
-    MultiQueryExecutor,
     SearchOptions,
     SearchOutcome,
     SearchPipeline,
@@ -65,7 +64,6 @@ PUBLIC_API = {
     "TieredSearch", "TieredSearchResult",
     "PartialResult", "ScanJournal", "ScanState",
     "HybridSearchPipeline", "HybridSearchResult",
-    "MultiQueryExecutor", "MultiQueryOutcome",
     # service
     "SearchService", "ServiceBatchResult",
     "WorkQueueScheduler", "QueueSearchOutcome", "PreprocessCache",
@@ -88,8 +86,8 @@ PUBLIC_API = {
 }
 
 OPTION_FIELDS = (
-    "matrix", "gaps", "lanes", "kernel", "profile", "mode", "schedule",
-    "threads", "top_k", "chunk_size", "alphabet", "injector", "deadline",
+    "matrix", "gaps", "lanes", "kernel", "profile", "mode",
+    "top_k", "chunk_size", "alphabet", "injector", "deadline",
 )
 
 
@@ -130,8 +128,10 @@ class TestSurface:
         assert (
             list(inspect.signature(StreamingSearch).parameters)[0] == "options"
         )
-        for cls in (HybridSearchPipeline, MultiQueryExecutor):
-            assert list(inspect.signature(cls).parameters)[2] == "options"
+        assert (
+            list(inspect.signature(HybridSearchPipeline).parameters)[2]
+            == "options"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -158,17 +158,13 @@ class TestSearchOptions:
         "bad",
         [
             dict(lanes=0),
-            dict(threads=0),
             dict(top_k=-1),
             dict(chunk_size=0),
             dict(profile="diagonal"),
-            dict(schedule="fifo"),
         ],
     )
     def test_invalid_options_rejected(self, bad):
-        # Bad schedule specs surface as ScheduleError, the rest as
-        # PipelineError — both are ReproError.
-        with pytest.raises(repro.ReproError):
+        with pytest.raises(PipelineError):
             SearchOptions(**bad)
 
     def test_frozen(self):
@@ -205,12 +201,6 @@ class TestLegacyKwargsRemoved:
         phi = DevicePerformanceModel(XEON_PHI_57XX)
         with pytest.raises(TypeError, match="HybridSearchPipeline"):
             HybridSearchPipeline(host, phi, matrix=BLOSUM62)
-
-    def test_multiquery_legacy_kwargs_raise(self):
-        host = DevicePerformanceModel(XEON_E5_2670_DUAL)
-        phi = DevicePerformanceModel(XEON_PHI_57XX)
-        with pytest.raises(TypeError, match="MultiQueryExecutor"):
-            MultiQueryExecutor(host, phi, matrix=BLOSUM62)
 
     def test_unknown_kwarg_still_reads_like_python(self):
         # Non-option junk keywords get the standard unexpected-keyword
@@ -251,7 +241,6 @@ class TestOutcomeProtocol:
                 iter([FastaRecord("S0", random_protein(rng, 35))]),
             ),
             HybridSearchPipeline(host, phi).search(query, db, top_k=3),
-            MultiQueryExecutor(host, phi).run({"q": query}, db, top_k=3),
             repro.WorkQueueScheduler(host, phi, chunks=3).search(query, db),
             repro.SearchService(SearchOptions(top_k=3)).run([query], db),
         ]
@@ -272,12 +261,10 @@ class TestOutcomeProtocol:
             SearchPipeline().search(query, db).provenance["kind"],
             HybridSearchPipeline(host, phi)
             .search(query, db).provenance["kind"],
-            MultiQueryExecutor(host, phi)
-            .run({"q": query}, db).provenance["kind"],
             repro.WorkQueueScheduler(host, phi, chunks=3)
             .search(query, db).provenance["kind"],
         }
-        assert len(kinds) == 4
+        assert len(kinds) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,18 @@ def test_example_runs_clean(script, expected):
         assert needle in result.stdout, (script, needle)
 
 
+def test_protein_search_runs_clean():
+    # The 20-query protocol at a tiny scale: wall GCUPS next to the
+    # modelled dual-Xeon column.
+    result = subprocess.run(
+        [sys.executable, str(EXAMPLES / "protein_search.py"), "0.00005"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    for needle in ("modelled GCUPS (Xeon)", "Q9UKN1"):
+        assert needle in result.stdout, needle
+
+
 def test_every_example_has_module_docstring_and_main():
     for script in EXAMPLES.glob("*.py"):
         text = script.read_text()

@@ -53,7 +53,7 @@ class TestEndToEndSearch:
         # cross-checked against a second engine on the top hits.
         queries = make_query_set()
         q = queries["P02232"]  # the shortest paper query (144 aa)
-        pipe = SearchPipeline(SearchOptions(lanes=16, threads=8, schedule="dynamic"))
+        pipe = SearchPipeline(SearchOptions(lanes=16))
         result = pipe.search(q, db, query_name="P02232", top_k=5)
         scan = get_engine("scan")
         for hit in result.hits:

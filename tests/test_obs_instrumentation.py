@@ -275,17 +275,3 @@ class TestServiceTracing:
         )
         service.run([SearchRequest(query=query, name="q")], db)
         assert get_tracer() is NULL_TRACER
-
-    def test_queue_service_nests_scheduler_spans(self, db, query):
-        host, phi = models()
-        tracer = Tracer()
-        service = SearchService(
-            SearchOptions(top_k=2), scheduler="queue",
-            host_model=host, device_model=phi, chunks=3,
-            metrics=MetricsRegistry(), tracer=tracer,
-        )
-        service.run([SearchRequest(query=query, name="q")], db)
-        col = tracer.collector
-        (req_span,) = col.find("service.request")
-        below = {s.name for s in col.descendants(req_span)}
-        assert {"queue.search", "queue.plan", "queue.chunk"} <= below

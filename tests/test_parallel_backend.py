@@ -234,9 +234,15 @@ class TestServiceAndQueue:
         svc.close()
 
     def test_static_scheduler_rejects_process_executor(self):
-        with pytest.raises(PipelineError):
-            SearchService(
-                SearchOptions(), scheduler="static", executor="process"
+        from repro.devices import XEON_E5_2670_DUAL, XEON_PHI_57XX
+        from repro.perfmodel.model import DevicePerformanceModel
+        from repro.search import HybridSearchPipeline
+
+        with pytest.raises(PipelineError, match="static"):
+            HybridSearchPipeline(
+                DevicePerformanceModel(XEON_E5_2670_DUAL),
+                DevicePerformanceModel(XEON_PHI_57XX),
+                SearchOptions(), scheduler="static", workers=2,
             )
 
     def test_queue_scheduler_parallel_matches_serial(self, db, query):

@@ -215,6 +215,22 @@ class TestBlocking:
         assert gain_p > gain_x > 1.0
 
 
+class TestTinyWorkload:
+    def test_xeon_compute_rate_on_tiny_database(self, xeon):
+        # On a tiny database the fixed per-run overhead dominates, so
+        # overall GCUPS is small — but the compute-only rate must be in
+        # the Xeon's tens-of-GCUPS regime.
+        lengths = SyntheticSwissProt().generate(scale=0.0002).lengths
+        cells = 30 * int(lengths.sum())
+        seconds = xeon.run_seconds(
+            Workload.from_lengths(lengths, 8), 30,
+            RunConfig(threads=32, blocking=False),
+        )
+        assert 0 < cells / seconds / 1e9 < 35
+        compute_s = seconds - xeon.cal.fixed_run_seconds
+        assert cells / compute_s / 1e9 > 5.0
+
+
 class TestSchedulePolicies:
     def test_dynamic_at_least_as_good_as_static(self, xeon, wl_xeon):
         dyn = xeon.gcups(wl_xeon, 1000, RunConfig(schedule="dynamic"))

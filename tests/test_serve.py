@@ -27,7 +27,7 @@ from repro.faults import CircuitBreaker, Deadline, RetryPolicy
 from repro.metrics import MetricsRegistry
 from repro.scoring import GapModel
 from repro.search import SearchOptions, SearchRequest
-from repro.serve import RemoteSearchResult, SearchClient, SearchServer
+from repro.serve import RemoteSearchResult, SearchClient, SearchServer, wire
 from repro.serve.wire import WIRE_SCHEMA_VERSION
 from repro.service import SearchService
 
@@ -96,7 +96,6 @@ class TestDropInParity:
         finally:
             local.close()
         batch = client.run(queries)
-        assert batch.scheduler == expected.scheduler
         assert batch.database_name == expected.database_name
         assert len(batch.outcomes) == len(expected.outcomes)
         for remote, ours in zip(batch.outcomes, expected.outcomes):
@@ -195,6 +194,25 @@ class TestTypedRemoteErrors:
         )
         assert agreeing.search(QUERY).best_score() > 0
 
+    def test_stored_v1_options_with_retired_keys_accepted(self, server):
+        # A v1 client still sends schedule/threads; no result depends
+        # on them, so the handshake ignores them — whatever their value.
+        stored = {
+            **wire.encode_options(SearchOptions()),
+            "schedule": "guided", "threads": 7,
+        }
+        assert wire.decode_options(stored).top_k == SearchOptions().top_k
+        server._verify_options({"options": stored})
+        status, doc = post_raw(server.url, "/v1/submit", {
+            "schema_version": WIRE_SCHEMA_VERSION, "kind": "request",
+            "request": {"query": QUERY}, "options": stored,
+        })
+        assert status == 200, doc
+        assert doc["outcome"]["hits"]
+        # A real disagreement next to the retired keys is still loud.
+        with pytest.raises(PipelineError, match="top_k"):
+            server._verify_options({"options": {**stored, "top_k": 3}})
+
     def test_unknown_endpoint_and_wrong_method(self, server):
         status, doc = post_raw(server.url, "/v1/nope", {
             "schema_version": WIRE_SCHEMA_VERSION, "kind": "request",
@@ -282,6 +300,29 @@ class TestIntrospection:
         assert doc["sequences"] == len(db)
         assert doc["scheduler"] == "local"
         assert doc["executor"] == "inprocess"
+
+    def test_batch_envelope_keeps_local_scheduler_key(self, server):
+        status, doc = post_raw(server.url, "/v1/batch", {
+            "schema_version": WIRE_SCHEMA_VERSION, "kind": "request",
+            "requests": [{"query": QUERY}],
+        })
+        assert status == 200, doc
+        assert doc["scheduler"] == "local"
+
+    def test_process_executor_server_bit_identical(self, db, client):
+        expected = client.search(QUERY)
+        with SearchServer(
+            db, executor="process", workers=2, metrics=MetricsRegistry(),
+        ) as srv:
+            pooled = SearchClient(srv.url, metrics=MetricsRegistry())
+            health = pooled.health()
+            got = pooled.search(QUERY)
+        assert (health["scheduler"], health["executor"]) == (
+            "local", "process",
+        )
+        assert list(got.hits) == list(expected.hits)
+        assert got.best_score() == expected.best_score()
+        assert got.cells == expected.cells
 
     def test_server_metrics_expose_serve_instruments(self, server, client):
         client.search(QUERY)

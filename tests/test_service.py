@@ -9,6 +9,7 @@ from repro import (
     XEON_E5_2670_DUAL,
     XEON_PHI_57XX,
     DevicePerformanceModel,
+    HybridSearchPipeline,
     PreprocessCache,
     SearchOptions,
     SearchPipeline,
@@ -281,16 +282,18 @@ class TestSearchService:
 
     @pytest.mark.parametrize("scheduler", ["static", "queue"])
     def test_heterogeneous_schedulers_score_identically(
-        self, rng, scheduler
+        self, rng, host, phi, scheduler
     ):
+        # The modelled schedulers live on HybridSearchPipeline, beside
+        # the service rather than inside it.
         db = make_db(rng, n=18)
         query = random_protein(rng, 70)
         plain = SearchPipeline(SearchOptions(top_k=4)).search(query, db)
-        batch = SearchService(
-            SearchOptions(top_k=4), scheduler=scheduler, chunks=4,
-            metrics=MetricsRegistry(),
-        ).run([SearchRequest(query=query, name="q")], db)
-        outcome = batch.outcomes[0]
+        with HybridSearchPipeline(
+            host, phi, SearchOptions(top_k=4), scheduler=scheduler,
+            chunks=4, metrics=MetricsRegistry(),
+        ) as hybrid:
+            outcome = hybrid.search(query, db, query_name="q")
         assert outcome.best_score() == plain.best_score()
         assert (
             [h.score for h in outcome.hits][:4]
@@ -333,6 +336,10 @@ class TestSearchService:
         with pytest.raises(PipelineError):
             SearchService(metrics=MetricsRegistry()).run([], db)
 
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(PipelineError):
-            SearchService(scheduler="greedy")
+    def test_unknown_scheduler_rejected(self, host, phi):
+        # The service is the local pipeline only; a scheduler is chosen
+        # on HybridSearchPipeline, which rejects unknown ones.
+        with pytest.raises(TypeError, match="scheduler"):
+            SearchService(scheduler="queue")
+        with pytest.raises(PipelineError, match="scheduler"):
+            HybridSearchPipeline(host, phi, scheduler="greedy")

@@ -25,7 +25,6 @@ from repro.search import (
     StreamingSearch,
 )
 from repro.service import SearchService
-from tests.conftest import random_protein
 
 QUERY = "MKTAYIAKQRQISFVKSHFSRQLEERLGLIEVQ"
 
@@ -275,10 +274,6 @@ class TestServiceShardedExecutor:
             )
         assert outcome.provenance["kind"] == "search"
         assert any(h.alignment is not None for h in outcome.hits)
-
-    def test_sharded_requires_local_scheduler(self):
-        with pytest.raises(PipelineError, match="sharded"):
-            SearchService(executor="sharded", scheduler="queue")
 
     def test_invalid_shard_residues_rejected(self):
         with pytest.raises(PipelineError, match="shard_residues"):

@@ -22,11 +22,14 @@ import pytest
 from repro.db import SequenceDatabase, SyntheticSwissProt
 from repro.db.fasta import FastaRecord
 from repro.db.mutate import plant_homologs
+from repro.devices import XEON_E5_2670_DUAL, XEON_PHI_57XX
 from repro.exceptions import DeadlineExceeded, PipelineError
 from repro.faults import Deadline, FaultInjector, FaultPlan
 from repro.metrics import MetricsRegistry
 from repro.obs import Tracer, use_tracer
+from repro.perfmodel import DevicePerformanceModel
 from repro.search import (
+    HybridSearchPipeline,
     PartialResult,
     SearchOptions,
     SearchPipeline,
@@ -35,7 +38,7 @@ from repro.search import (
     TieredSearchResult,
 )
 from repro.search.tiered import TIER_PRESETS
-from repro.service import SearchService
+from repro.service import SearchService, WorkQueueScheduler
 from tests.conftest import random_protein
 
 SCALE = 0.0004
@@ -243,10 +246,19 @@ class TestValidation:
             pipe.search("WC", db)
 
     def test_service_requires_local_scheduler(self):
-        with pytest.raises(PipelineError, match="local scheduler"):
-            SearchService(SearchOptions(mode="sensitive"), scheduler="static")
-        # The local scheduler accepts tiered options.
-        SearchService(SearchOptions(mode="sensitive"), scheduler="local")
+        # The modelled host/device splits merge whole score arrays; a
+        # tiered search would leave pruned sequences at 0 and rank them
+        # as hits, so both schedulers refuse it up front.
+        host = DevicePerformanceModel(XEON_E5_2670_DUAL)
+        phi = DevicePerformanceModel(XEON_PHI_57XX)
+        options = SearchOptions(mode="sensitive")
+        for scheduler in ("static", "queue"):
+            with pytest.raises(PipelineError, match="exact"):
+                HybridSearchPipeline(host, phi, options, scheduler=scheduler)
+        with pytest.raises(PipelineError, match="exact"):
+            WorkQueueScheduler(host, phi, options)
+        # The local service accepts tiered options.
+        SearchService(options)
 
     def test_empty_database_rejected(self):
         pipe = SearchPipeline(SearchOptions(mode="fast"))

@@ -18,7 +18,6 @@ import repro.exceptions as exceptions_mod
 from repro.alphabet import Alphabet
 from repro.core.types import Traceback
 from repro.db import SyntheticSwissProt
-from repro.devices.openmp import Schedule
 from repro.exceptions import (
     DeadlineExceeded,
     FastaError,
@@ -61,8 +60,6 @@ def assert_options_equal(a: SearchOptions, b: SearchOptions) -> None:
     assert a.lanes == b.lanes
     assert a.kernel == b.kernel
     assert a.profile == b.profile
-    assert Schedule.parse(a.schedule) is Schedule.parse(b.schedule)
-    assert a.threads == b.threads
     assert a.top_k == b.top_k
     assert a.chunk_size == b.chunk_size
     assert a.alphabet.letters == b.alphabet.letters
@@ -112,8 +109,6 @@ class TestOptionsRoundTrip:
             lanes=16,
             kernel="numpy",
             profile="query",
-            schedule="guided",
-            threads=7,
             top_k=3,
             chunk_size=64,
             deadline=Deadline(expires_at=123.5),
@@ -153,18 +148,25 @@ class TestOptionsRoundTrip:
         del legacy["kernel"]
         assert wire.decode_options(legacy).kernel is None
 
+    def test_retired_schedule_threads_keys_ignored(self):
+        # Every v1 client sends schedule/threads; they steered only the
+        # simulated OpenMP loop, so encoders stop sending them and
+        # decoders accept a stored v1 document that still carries them.
+        doc = wire.encode_options(SearchOptions(lanes=16, top_k=4))
+        assert "schedule" not in doc and "threads" not in doc
+        stored_v1 = {**doc, "schedule": "guided", "threads": 7}
+        assert_options_equal(
+            wire.decode_options(json.loads(json.dumps(stored_v1))),
+            SearchOptions(lanes=16, top_k=4),
+        )
+
     @given(
         top_k=st.integers(min_value=0, max_value=50),
-        threads=st.integers(min_value=1, max_value=64),
         chunk=st.integers(min_value=1, max_value=4096),
-        schedule=st.sampled_from(["static", "dynamic", "guided"]),
     )
     @settings(max_examples=25, deadline=None)
-    def test_property_scalar_fields_survive(self, top_k, threads, chunk,
-                                            schedule):
-        opts = SearchOptions(
-            top_k=top_k, threads=threads, chunk_size=chunk, schedule=schedule,
-        )
+    def test_property_scalar_fields_survive(self, top_k, chunk):
+        opts = SearchOptions(top_k=top_k, chunk_size=chunk)
         assert_options_equal(
             opts, roundtrip(wire.encode_options, wire.decode_options, opts)
         )
