@@ -11,19 +11,10 @@ costs.
 On a single-core runner the measurement is **skipped, not failed**:
 real speedup is impossible by construction there, and the score-identity
 guarantees are already covered by ``tests/test_parallel_backend.py``.
-
-Runs as a plain pytest test and as a script::
-
-    PYTHONPATH=src python benchmarks/bench_parallel_speedup.py --json s.json
-
-The JSON carries the per-worker walls and speedups (or a skip marker
-on a single-core machine) — the ingestion path ``repro bench`` uses.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import time
 
@@ -36,52 +27,15 @@ from repro.devices import ParallelFor, Schedule
 from repro.metrics import format_table
 from repro.search import SearchOptions, SearchPipeline
 
+from conftest import run_once
+
 WORKER_COUNTS = (1, 2, 4)
 SCALE = 0.002
 QUERY_LEN = 500
 
 
-def measure_speedup(
-    *,
-    scale: float = SCALE,
-    query_len: int = QUERY_LEN,
-    worker_counts: tuple[int, ...] = WORKER_COUNTS,
-) -> dict:
-    """Measure real process-parallel walls; returns the stats dict.
-
-    Keys: ``cores``, ``walls`` (worker count -> seconds), ``speedups``
-    (worker count -> x over 1 worker), ``gcups`` (worker count ->
-    measured GCUPS), ``cells``.
-    """
-    db = SyntheticSwissProt().generate(scale=scale)
-    rng = np.random.default_rng(5)
-    query = rng.integers(0, 20, query_len).astype(np.uint8)
-    cells = query_len * db.total_residues
-    pre = preprocess_database(db, lanes=8)
-
-    walls: dict[int, float] = {}
-    for workers in worker_counts:
-        with SearchPipeline(SearchOptions(), workers=workers) as pipe:
-            # Warm-up: pool startup + one-time database broadcast
-            # are amortised costs, not per-search ones.
-            pipe.search(query, db, preprocessed=pre)
-            t0 = time.perf_counter()
-            pipe.search(query, db, preprocessed=pre)
-            walls[workers] = time.perf_counter() - t0
-    base = walls[worker_counts[0]]
-    return {
-        "cores": os.cpu_count() or 1,
-        "cells": int(cells),
-        "walls": {str(w): walls[w] for w in worker_counts},
-        "speedups": {str(w): base / walls[w] for w in worker_counts},
-        "gcups": {str(w): cells / walls[w] / 1e9 for w in worker_counts},
-    }
-
-
 @pytest.mark.benchmark(group="parallel-speedup")
 def test_parallel_speedup(benchmark, show):
-    from conftest import run_once
-
     cores = os.cpu_count() or 1
     if cores < 2:
         pytest.skip(
@@ -143,53 +97,3 @@ def test_parallel_speedup(benchmark, show):
             f"expected >1.1x speedup at 2 workers on {cores} cores, "
             f"got {walls[1] / walls[2]:.2f}x"
         )
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--scale", type=float, default=SCALE)
-    parser.add_argument("--query-len", type=int, default=QUERY_LEN)
-    parser.add_argument(
-        "--workers", type=int, nargs="+", default=list(WORKER_COUNTS)
-    )
-    parser.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="also write the stats dict as JSON to PATH",
-    )
-    args = parser.parse_args(argv)
-    cores = os.cpu_count() or 1
-    if cores < 2:
-        # Mirror the pytest skip: a skip marker, never a bogus number.
-        stats: dict = {
-            "skipped": True,
-            "reason": f"single-core runner (cpu count {cores})",
-            "cores": cores,
-        }
-    else:
-        stats = measure_speedup(
-            scale=args.scale,
-            query_len=args.query_len,
-            worker_counts=tuple(args.workers),
-        )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(stats, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    if stats.get("skipped"):
-        print(f"parallel speedup skipped: {stats['reason']}")
-    else:
-        print(format_table(
-            ["workers", "wall", "speedup", "GCUPS"],
-            [
-                (w, f"{stats['walls'][w]:.3f}s",
-                 f"{stats['speedups'][w]:.2f}x",
-                 f"{stats['gcups'][w]:.3f}")
-                for w in sorted(stats["walls"], key=int)
-            ],
-            title=f"process-parallel speedup ({stats['cores']} cores)",
-        ))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

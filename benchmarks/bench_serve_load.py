@@ -19,16 +19,10 @@ and the pytest entry point asserts it.
 Runs as a plain pytest test and as a script::
 
     PYTHONPATH=src python benchmarks/bench_serve_load.py
-    PYTHONPATH=src python benchmarks/bench_serve_load.py --json stats.json
-
-With ``--json PATH`` the stats dict is also written as JSON — the
-ingestion path ``repro bench`` uses instead of scraping stdout.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import threading
 import time
 
@@ -162,31 +156,5 @@ def test_load_shed_and_percentiles():
     assert 0.0 < stats["p50"] <= stats["p95"] <= stats["p99"]
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--threads", type=int, default=CLIENT_THREADS)
-    parser.add_argument("--per-client", type=int,
-                        default=REQUESTS_PER_CLIENT)
-    parser.add_argument("--max-inflight", type=int, default=MAX_INFLIGHT)
-    parser.add_argument("--seed", type=int, default=SEED)
-    parser.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="also write the stats dict as JSON to PATH",
-    )
-    args = parser.parse_args(argv)
-    stats = run_load(
-        threads=args.threads,
-        per_client=args.per_client,
-        max_inflight=args.max_inflight,
-        seed=args.seed,
-    )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(stats, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    print(report(stats))
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    print(report(run_load()))

@@ -31,10 +31,6 @@ Subcommands
     Print the modelled GCUPS grid for the paper's devices and variants.
 ``hybrid``
     Sweep the host/coprocessor split (Figure 8) and report the optimum.
-``bench``
-    Run the curated perf suite (:mod:`repro.bench`), write a dated
-    ``BENCH_<date>.json`` trajectory snapshot, and optionally gate on
-    regressions against a baseline snapshot (``--compare``).
 ``validate``
     Re-derive every number the paper reports and check it reproduces.
 ``report``
@@ -49,7 +45,6 @@ import argparse
 import sys
 
 from . import __version__
-from .bench import _NO_COMPARE as _BENCH_NO_COMPARE
 from .exceptions import ReproError
 
 __all__ = ["main", "build_parser"]
@@ -308,35 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-chunk watchdog deadline in virtual seconds")
     h.add_argument("--chunks", type=int, default=8,
                    help="device-share chunks under a fault plan")
-
-    bn = sub.add_parser(
-        "bench",
-        help="run the curated perf suite and gate on regressions",
-    )
-    bn.add_argument("--quick", action="store_true",
-                    help="shrunken workloads for CI-smoke time; snapshots "
-                         "record their mode and only compare like-for-like")
-    bn.add_argument("--dir", default="bench_history",
-                    help="snapshot directory (default: bench_history/); "
-                         "new snapshots land here and --compare without a "
-                         "baseline picks the latest one in it")
-    bn.add_argument("--out", metavar="PATH", default=None,
-                    help="explicit snapshot output path (default: "
-                         "<dir>/BENCH_<date>.json)")
-    bn.add_argument("--tags", nargs="+", metavar="TAG", default=None,
-                    help="run only bench cases carrying any of these tags "
-                         "(engine, parallel, memory, sharded, serve)")
-    bn.add_argument("--compare", nargs="?", metavar="BASELINE",
-                    default=_BENCH_NO_COMPARE,
-                    help="gate against BASELINE (or, with no value, the "
-                         "latest snapshot in --dir); exit 1 on any metric "
-                         "regressing beyond its tolerance")
-    bn.add_argument("--candidate", metavar="PATH", default=None,
-                    help="compare this existing snapshot instead of "
-                         "running the suite")
-    bn.add_argument("--benchmarks-dir", metavar="DIR", default=None,
-                    help="where the benchmark scripts live (default: "
-                         "./benchmarks, falling back to the source tree)")
 
     v = sub.add_parser("validate",
                        help="check every paper target against the model")
@@ -992,12 +958,6 @@ def _cmd_hybrid(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import run_bench
-
-    return run_bench(args)
-
-
 def _cmd_validate(_: argparse.Namespace) -> int:
     from .metrics import format_table
     from .perfmodel import validate_against_paper
@@ -1063,7 +1023,6 @@ def main(argv: list[str] | None = None) -> int:
         "blast": _cmd_blast,
         "model": _cmd_model,
         "hybrid": _cmd_hybrid,
-        "bench": _cmd_bench,
         "validate": _cmd_validate,
         "report": _cmd_report,
         "info": _cmd_info,

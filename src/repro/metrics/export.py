@@ -28,7 +28,7 @@ never hold their own metric state beyond what delta computation needs:
 :func:`append_jsonl_snapshot`
     One JSON object per line — ``{"ts": ..., "metrics": {...}}`` with
     sorted keys — appended to a log file.  The grep-able trajectory for
-    scripts, log shippers and the ``repro bench`` history.
+    scripts and log shippers.
 """
 
 from __future__ import annotations

@@ -107,14 +107,22 @@ class ServiceBatchResult:
         }
 
     def summary(self) -> str:
-        """One line per request, for the CLI."""
+        """One line per request, for the CLI.
+
+        Outcomes of the modelled host/coprocessor split print their
+        ``modeled_gcups`` as "modelled GCUPS"; the rest print wall GCUPS.
+        """
         lines = []
         for req, out in zip(self.requests, self.outcomes):
             top = out.hits[0] if out.hits else None
+            modeled = getattr(out, "modeled_gcups", None)
             lines.append(
                 f"  {req.name:<12s} best {out.best_score():>6d}"
                 + (f"  {top.accession}" if top else "  (no hits)")
-                + f"  {out.gcups:8.2f} GCUPS"
+                + (
+                    f"  {out.gcups:8.2f} GCUPS" if modeled is None
+                    else f"  {modeled:8.2f} modelled GCUPS"
+                )
             )
         return "\n".join(lines)
 

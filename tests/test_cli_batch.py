@@ -47,6 +47,13 @@ def best_scores(stdout: str) -> dict[str, int]:
     }
 
 
+def rate_labels(stdout: str) -> set[str]:
+    """The throughput labels that end the batch summary's lines."""
+    return set(re.findall(
+        r"^\s+\S+\s+best\s+\d+.*\d ((?:modelled )?GCUPS)$", stdout, re.M
+    ))
+
+
 @pytest.mark.parametrize("scheduler", ["local", "static", "queue"])
 def test_batch_best_scores_match_pipeline(capsys, expected, scheduler):
     code = main(["batch", "--scheduler", scheduler, *BATCH])
@@ -54,6 +61,10 @@ def test_batch_best_scores_match_pipeline(capsys, expected, scheduler):
     assert code == 0
     assert f"with the {scheduler!r} scheduler" in out
     assert best_scores(out) == expected
+    # Wall and modelled throughput never share a label.
+    assert rate_labels(out) == (
+        {"GCUPS"} if scheduler == "local" else {"modelled GCUPS"}
+    )
 
 
 def test_batch_queue_drains_on_a_worker_pool(capsys, expected):

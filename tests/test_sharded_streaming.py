@@ -8,6 +8,8 @@ seeded fault plan — while only bounded shards are ever resident.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,36 @@ class TestShardedEqualsSerial:
         with StreamingSearch(opts, workers=2, shard_residues=6000) as s:
             par = s.search_fasta(QUERY, path)
         assert hit_tuples(par) == hit_tuples(serial)
+
+    def test_driver_heap_stays_bounded(self, tmp_path):
+        # A warm sharded scan of a 385k-residue FASTA peaked at 0.523 MB
+        # of traced driver heap when first measured; twice that is the
+        # ceiling.
+        from repro.alphabet import PROTEIN
+
+        big = SyntheticSwissProt(seed=23).generate(scale=0.002)
+        path = tmp_path / "big.fasta"
+        write_fasta(
+            [
+                FastaRecord(h, PROTEIN.decode(seq))
+                for h, seq in zip(big.headers, big.sequences)
+            ],
+            path,
+        )
+        query = QUERY + "MTPSRHADSLVKQ"
+        with StreamingSearch(
+            SearchOptions(chunk_size=128, top_k=10),
+            workers=2, shard_residues=50_000,
+        ) as sharded:
+            sharded.search_fasta(query, path)  # warm-up: pool start
+            tracemalloc.start()
+            try:
+                result = sharded.search_fasta(query, path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert result.sequences_scanned == len(big)
+        assert peak <= 1.05e6, f"driver heap peaked at {peak / 1e6:.3f} MB"
 
     def test_top_k_zero_scores_only(self, db):
         opts = SearchOptions(chunk_size=32, top_k=0)

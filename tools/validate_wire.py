@@ -5,9 +5,8 @@ Home of the repo's one deliberately small, dependency-free JSON-Schema
 validator (``type``, ``const``, ``enum``, ``required``, ``properties``,
 ``items``, ``oneOf``, ``minimum`` and local ``$ref``/``$defs``
 resolution, which ``schemas/search_wire.schema.json`` uses to keep one
-definition per wire object); ``tools/validate_trace.py`` and
-``tools/validate_bench.py`` import it.  CI runs this against envelopes
-captured during the serve smoke step.
+definition per wire object); ``tools/validate_trace.py`` imports it.
+CI runs this against envelopes captured during the serve smoke step.
 
 Usage::
 
