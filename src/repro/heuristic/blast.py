@@ -21,8 +21,8 @@ from ..db.database import SequenceDatabase
 from ..exceptions import PipelineError
 from ..scoring.gaps import GapModel, paper_gap_model
 from ..scoring.matrices import SubstitutionMatrix
-from .extend import Seed, gapped_extend, ungapped_extend
-from .kmer import KmerWordCoder, build_query_word_table
+from .kmer import build_query_word_table
+from .seeder import ArraySeeder
 
 __all__ = ["BlastHit", "BlastResult", "MiniBlast"]
 
@@ -130,96 +130,56 @@ class MiniBlast:
             raise PipelineError(
                 f"query shorter than the word size ({len(q)} < {self.k})"
             )
-        table = build_query_word_table(
-            q, self.matrix, k=self.k, threshold=self.threshold
+        seeder = ArraySeeder(
+            q,
+            build_query_word_table(
+                q, self.matrix, k=self.k, threshold=self.threshold
+            ),
+            self.matrix,
+            x_drop=self.x_drop,
+            two_hit=self.two_hit,
+            two_hit_window=self.two_hit_window,
         )
-        coder = KmerWordCoder(self.k, self.alphabet)
-
-        scores = np.zeros(len(database), dtype=np.int64)
-        hits: list[BlastHit] = []
-        seeds = unext = gapext = fallbacks = 0
-        cells = 0
-
-        for idx, seq in enumerate(database.sequences):
-            words = coder.words_of(seq)
-            best_ungapped = None
-            best_seed = None
-            # Seeding with per-diagonal de-duplication: extending every
-            # overlapping hit on the same diagonal re-does the same
-            # work, so remember how far each diagonal has been covered.
-            # Under two-hit mode a diagonal's first hit is only
-            # remembered; extension waits for a second nearby hit.
-            covered: dict[int, int] = {}
-            last_hit: dict[int, int] = {}
-            for j in range(len(words)):
-                qpos_list = table.get(int(words[j]))
-                if not qpos_list:
-                    continue
-                for i in qpos_list:
-                    seeds += 1
-                    diag = j - i
-                    if covered.get(diag, -1) >= j:
-                        continue
-                    if self.two_hit:
-                        prev = last_hit.get(diag)
-                        last_hit[diag] = j
-                        if prev is None or not (
-                            self.k <= j - prev <= self.two_hit_window
-                        ):
-                            continue
-                    seed = Seed(qpos=i, dpos=j, length=self.k)
-                    ext = ungapped_extend(
-                        q, seq, seed, self.matrix, x_drop=self.x_drop
-                    )
-                    unext += 1
-                    cells += ext.cells
-                    covered[diag] = ext.dend
-                    if best_ungapped is None or ext.score > best_ungapped.score:
-                        best_ungapped = ext
-                        best_seed = seed
-            # Gapped refinement of the best HSP only (score-max search):
-            # the window adapts to the HSP so long alignments are not
-            # truncated at an arbitrary boundary.
-            best_ext = None
-            if (
-                best_ungapped is not None
-                and best_ungapped.score >= self.gapped_trigger
-            ):
-                window = max(self.window, best_ungapped.length + 2 * self.band)
-                best_ext = gapped_extend(
-                    q, seq, best_seed, self.matrix, self.gaps,
-                    window=window, band=self.band,
-                )
-                gapext += 1
-                cells += best_ext.cells
-            elif best_ungapped is not None and best_ungapped.score > 0:
-                # Below the gapped trigger the ungapped HSP is still
-                # the best alignment found: report its score (real
-                # BLAST reports ungapped HSPs) instead of silently
-                # dropping the sequence to 0.
-                best_ext = best_ungapped
-                fallbacks += 1
-            if best_ext is not None and best_ext.score > 0:
-                scores[idx] = best_ext.score
-                hits.append(
-                    BlastHit(
-                        index=idx,
-                        header=database.headers[idx],
-                        score=best_ext.score,
-                        qstart=best_ext.qstart,
-                        qend=best_ext.qend,
-                        dstart=best_ext.dstart,
-                        dend=best_ext.dend,
-                    )
-                )
+        # Seeding with per-diagonal de-duplication (a hit inside an
+        # already extended region of its diagonal is skipped) and, under
+        # two-hit mode, extension only on a second nearby hit.
+        seqs = database.sequences
+        seeds = seeder.seed(seqs)
+        # Gapped refinement of the best HSP only (score-max search):
+        # the window adapts to the HSP so long alignments are not
+        # truncated at an arbitrary boundary.
+        gapped = np.flatnonzero(
+            seeds.found & (seeds.score >= self.gapped_trigger)
+        )
+        refined = seeder.verify(
+            seqs, gapped, seeds, self.gaps,
+            window=self.window, band=self.band,
+        )
+        # Below the gapped trigger the ungapped HSP is still the best
+        # alignment found: report its score (real BLAST reports ungapped
+        # HSPs) instead of silently dropping the sequence to 0.
+        fallback = seeds.found & (seeds.score < self.gapped_trigger) & (
+            seeds.score > 0
+        )
+        scores = np.where(fallback, seeds.score, 0)
+        scores[gapped] = refined.score
+        extent = np.stack([seeds.qstart, seeds.qend, seeds.dstart, seeds.dend])
+        extent[:, gapped] = [
+            refined.qstart, refined.qend, refined.dstart, refined.dend
+        ]
+        hits = [
+            BlastHit(int(idx), database.headers[idx], int(scores[idx]),
+                     *(int(v) for v in extent[:, idx]))
+            for idx in np.flatnonzero(scores > 0)
+        ]
 
         return BlastResult(
             scores=scores,
             hits=hits,
-            seeds_found=seeds,
-            ungapped_extensions=unext,
-            gapped_extensions=gapext,
-            ungapped_fallbacks=fallbacks,
-            cells_computed=cells,
+            seeds_found=seeds.hits,
+            ungapped_extensions=seeds.extensions,
+            gapped_extensions=len(gapped),
+            ungapped_fallbacks=int(fallback.sum()),
+            cells_computed=int(seeds.cells.sum() + refined.cells.sum()),
             exact_cells=len(q) * database.total_residues,
         )

@@ -6,8 +6,9 @@ the threshold ``T`` (the *neighbourhood*).  With BLOSUM62, ``k = 3`` and
 ``T = 11`` are the classic defaults.
 
 Words are packed into integers base-``|alphabet|`` so the query word
-table is a flat ``dict[int, list[int]]`` (word -> query positions) and
-scanning a database sequence is one rolling-hash pass.
+table is a word-sorted CSR array (:class:`WordTable`: word -> query
+positions) and scanning a database is one rolling-hash pass plus one
+table lookup per position.
 """
 
 from __future__ import annotations
@@ -20,7 +21,15 @@ from ..alphabet import PROTEIN, Alphabet
 from ..exceptions import EngineError
 from ..scoring.matrices import SubstitutionMatrix
 
-__all__ = ["KmerWordCoder", "neighborhood_words", "build_query_word_table"]
+__all__ = [
+    "KmerWordCoder",
+    "WordTable",
+    "neighborhood_words",
+    "build_query_word_table",
+]
+
+#: Query k-mer x word scores held at once while building a word table.
+_TABLE_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -115,32 +124,70 @@ def neighborhood_words(
     return out
 
 
+@dataclass(frozen=True)
+class WordTable:
+    """The query's neighbourhood words as a word-sorted CSR table.
+
+    ``positions[offsets[w]:offsets[w + 1]]`` are the query positions
+    whose neighbourhood holds the packed word ``w`` (packed as
+    :class:`KmerWordCoder` packs it, radix ``base``), ascending.
+    """
+
+    k: int
+    base: int
+    offsets: np.ndarray    # int64, base**k + 1 entries
+    positions: np.ndarray  # int32 query positions, grouped by word
+
+    def positions_of(self, word: int) -> np.ndarray:
+        """Query positions whose neighbourhood holds ``word``."""
+        return self.positions[self.offsets[word] : self.offsets[word + 1]]
+
+
 def build_query_word_table(
     query: np.ndarray,
     matrix: SubstitutionMatrix,
     *,
     k: int = 3,
     threshold: int = 11,
-) -> dict[int, list[int]]:
-    """Word -> query positions map, neighbourhoods included.
+) -> WordTable:
+    """Word -> query positions table, neighbourhoods included.
 
     This is BLAST's pre-processed query structure: scanning a database
-    sequence then needs only one table lookup per position.
+    sequence then needs only one table lookup per position.  Every query
+    k-mer is scored against every word over the first
+    ``min(20, matrix.size)`` codes (the standard residues of a protein
+    matrix; ambiguity codes never help a seed), ``_TABLE_CELLS`` scores
+    at a time; the words reaching ``threshold`` are exactly
+    :func:`neighborhood_words` of that k-mer.
     """
     coder = KmerWordCoder(k, matrix.alphabet)
-    table: dict[int, list[int]] = {}
-    q = np.asarray(query, dtype=np.uint8)
-    # Repeated query k-mers (ubiquitous in low-complexity regions) share
-    # one neighbourhood enumeration, keyed by the packed word.
-    cache: dict[int, list[int]] = {}
-    for i in range(len(q) - k + 1):
-        kmer = q[i : i + k]
-        key = coder.encode(kmer)
-        words = cache.get(key)
-        if words is None:
-            words = cache[key] = neighborhood_words(
-                kmer, matrix, threshold, coder=coder
-            )
-        for word in words:
-            table.setdefault(word, []).append(i)
-    return table
+    q = np.asarray(query, dtype=np.intp)
+    nb = min(20, matrix.size)
+    sub = matrix.data[:, :nb].astype(np.int32)
+    # Packed word of every neighbour-space word, in neighbour order.
+    packed = np.zeros(1, dtype=np.int64)
+    for _ in range(k):
+        packed = (packed[:, None] * coder.base + np.arange(nb)).ravel()
+    rows = max(0, len(q) - k + 1)
+    step = max(1, _TABLE_CELLS // len(packed))
+    compact = np.min_scalar_type(len(packed))
+    pos_parts, word_parts = [np.empty(0, np.int32)], [np.empty(0, compact)]
+    for r0 in range(0, rows, step):
+        r1 = min(rows, r0 + step)
+        score = sub[q[r0:r1]]
+        for t in range(1, k):
+            score = (
+                score[:, :, None] + sub[q[r0 + t : r1 + t]][:, None, :]
+            ).reshape(r1 - r0, -1)
+        pos, word = np.nonzero(score >= threshold)
+        pos_parts.append((pos + r0).astype(np.int32))
+        word_parts.append(word.astype(compact))
+    pos = np.concatenate(pos_parts)
+    word = np.concatenate(word_parts)
+    # Stable: positions stay ascending within each word.  Neighbour
+    # order and packed order agree, so sorting either sorts both.
+    order = np.argsort(word, kind="stable")
+    offsets = np.zeros(coder.base**k + 1, dtype=np.int64)
+    offsets[packed + 1] = np.bincount(word, minlength=len(packed))
+    np.cumsum(offsets, out=offsets)
+    return WordTable(k=k, base=coder.base, offsets=offsets, positions=pos[order])

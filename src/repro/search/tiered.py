@@ -4,11 +4,10 @@ The exhaustive scan pays ``O(m * n)`` for every database sequence; at
 "millions of users" scale that asymptotic is the bottleneck, not the
 constant.  This module composes the existing building blocks into the
 index-then-verify architecture of the INRIA fine-grained similarity
-search report (PAPERS.md): a k-mer/neighbourhood seed stage
-(:mod:`repro.heuristic.kmer`) prunes the candidate set, the banded
-engine (:mod:`repro.core.banded`, via
-:func:`repro.heuristic.extend.gapped_extend`) verifies survivors, and
-only the final candidates are rescored with the exact kernel-selected
+search report (PAPERS.md): a k-mer/neighbourhood seed stage prunes the
+candidate set, a banded gapped DP verifies survivors (both as array
+passes over many sequences, :mod:`repro.heuristic.seeder`), and only
+the final candidates are rescored with the exact kernel-selected
 Smith-Waterman engines.
 
 The contract: every *reported* score is an exact SW score — stage 3
@@ -42,8 +41,8 @@ from ..core.engine import as_codes
 from ..core.traceback import align_pair
 from ..db.database import SequenceDatabase
 from ..exceptions import PipelineError
-from ..heuristic.extend import Seed, gapped_extend, ungapped_extend
-from ..heuristic.kmer import KmerWordCoder, build_query_word_table
+from ..heuristic.kmer import build_query_word_table
+from ..heuristic.seeder import ArraySeeder
 from ..metrics.counters import METRICS, MetricsRegistry
 from ..obs.tracer import get_tracer
 from .api import SearchOptions, unify_options
@@ -208,7 +207,9 @@ class TieredFilter:
     chunking or sharding of the stream leaves the survivor set (and
     therefore the final ranking) unchanged.  :meth:`funnel` runs all
     three stages over one batch: the whole resident database, or one
-    chunk of a streamed scan.
+    chunk of a streamed scan.  Seeding and verification are the array
+    passes of :class:`~repro.heuristic.seeder.ArraySeeder`, the same
+    ones :class:`~repro.heuristic.MiniBlast` runs.
     """
 
     def __init__(
@@ -230,63 +231,16 @@ class TieredFilter:
         self.gaps = gaps
         self.preset = preset
         self.alphabet = alphabet
-        self.table = build_query_word_table(
-            query, matrix, k=preset.k, threshold=preset.threshold
+        self.seeder = ArraySeeder(
+            query,
+            build_query_word_table(
+                query, matrix, k=preset.k, threshold=preset.threshold
+            ),
+            matrix,
+            x_drop=preset.x_drop,
+            two_hit=preset.two_hit,
+            two_hit_window=preset.two_hit_window,
         )
-        self.coder = KmerWordCoder(preset.k, alphabet)
-
-    # ------------------------------------------------------------------
-    def seed(self, seq: np.ndarray) -> tuple[object | None, Seed | None, int]:
-        """Stage 1: best ungapped HSP of ``seq`` (or ``None``), plus cells.
-
-        Mirrors :class:`~repro.heuristic.MiniBlast` seeding: per-diagonal
-        de-duplication, optional two-hit gating, X-drop extension of
-        every qualifying seed.
-        """
-        p = self.preset
-        q = self.query
-        words = self.coder.words_of(seq)
-        best = None
-        best_seed = None
-        cells = 0
-        covered: dict[int, int] = {}
-        last_hit: dict[int, int] = {}
-        for j in range(len(words)):
-            qpos_list = self.table.get(int(words[j]))
-            if not qpos_list:
-                continue
-            for i in qpos_list:
-                diag = j - i
-                if covered.get(diag, -1) >= j:
-                    continue
-                if p.two_hit:
-                    prev = last_hit.get(diag)
-                    last_hit[diag] = j
-                    if prev is None or not (
-                        p.k <= j - prev <= p.two_hit_window
-                    ):
-                        continue
-                seed = Seed(qpos=i, dpos=j, length=p.k)
-                ext = ungapped_extend(q, seq, seed, self.matrix,
-                                      x_drop=p.x_drop)
-                cells += ext.cells
-                covered[diag] = ext.dend
-                if best is None or ext.score > best.score:
-                    best = ext
-                    best_seed = seed
-        if best is not None and best.score < p.seed_min_score:
-            best = best_seed = None
-        return best, best_seed, cells
-
-    def verify(self, seq: np.ndarray, seed: Seed, ungapped) -> tuple[int, int]:
-        """Stage 2: banded gapped score around the best HSP, plus cells."""
-        p = self.preset
-        window = max(p.window, ungapped.length + 2 * p.band)
-        ext = gapped_extend(
-            self.query, seq, seed, self.matrix, self.gaps,
-            window=window, band=p.band,
-        )
-        return ext.score, ext.cells
 
     def funnel(
         self, seqs, engine, stats: TierStats, *, deadline=None
@@ -297,20 +251,17 @@ class TieredFilter:
         exact rescoring with ``engine``; ``scores`` holds their exact SW
         scores and 0 for every pruned sequence.  Stage counts and cells
         accumulate into ``stats``.  ``deadline`` (when given) is checked
-        between stages and every 256 sequences while seeding.
+        once per seeding batch and before each later stage.
         """
         tracer = get_tracer()
+        p = self.preset
         # Stage 1: seed every sequence.
-        survivors: list[tuple[int, Seed, object]] = []
-        cells = 0
         with tracer.span("tiered.seed") as sp:
-            for idx, seq in enumerate(seqs):
-                if deadline is not None and idx % 256 == 0:
-                    deadline.check("tiered seed stage")
-                best, best_seed, seed_cells = self.seed(seq)
-                cells += seed_cells
-                if best is not None:
-                    survivors.append((idx, best_seed, best))
+            seeds = self.seeder.seed(seqs, deadline=deadline)
+            survivors = np.flatnonzero(
+                seeds.found & (seeds.score >= p.seed_min_score)
+            )
+            cells = int(seeds.cells.sum())
             stats.seed_cells += cells
             stats.seed_survivors += len(survivors)
             if sp:
@@ -319,16 +270,17 @@ class TieredFilter:
                     cells=cells,
                 )
         # Stage 2: banded verification of seed survivors.
-        finalists: list[int] = []
-        cells = 0
         with tracer.span("tiered.verify") as sp:
-            for idx, seed, best in survivors:
-                if deadline is not None:
-                    deadline.check("tiered verify stage")
-                score, verify_cells = self.verify(seqs[idx], seed, best)
-                cells += verify_cells
-                if score >= self.preset.verify_min_score:
-                    finalists.append(idx)
+            if deadline is not None and len(survivors):
+                deadline.check("tiered verify stage")
+            refined = self.seeder.verify(
+                seqs, survivors, seeds, self.gaps,
+                window=p.window, band=p.band,
+            )
+            finalists = survivors[
+                refined.score >= p.verify_min_score
+            ].tolist()
+            cells = int(refined.cells.sum())
             stats.verify_cells += cells
             stats.verify_survivors += len(finalists)
             if sp:

@@ -18,6 +18,27 @@ from repro.search import SearchPipeline
 from tests.conftest import random_codes
 
 
+def per_position_table(q, k, threshold, matrix=BLOSUM62):
+    """Word -> query positions, one neighbourhood enumeration per position."""
+    coder = KmerWordCoder(k, matrix.alphabet)
+    table: dict[int, list[int]] = {}
+    for i in range(len(q) - k + 1):
+        for word in neighborhood_words(
+            q[i : i + k], matrix, threshold, coder=coder,
+            standard_only=matrix.size >= 20,
+        ):
+            table.setdefault(word, []).append(i)
+    return table
+
+
+def table_rows(table) -> dict[int, list[int]]:
+    """A :class:`WordTable` as the word -> positions dict it encodes."""
+    return {
+        int(word): table.positions_of(int(word)).tolist()
+        for word in np.flatnonzero(np.diff(table.offsets))
+    }
+
+
 class TestWordCoder:
     def test_roundtrip(self, rng):
         coder = KmerWordCoder(3)
@@ -87,7 +108,8 @@ class TestNeighborhood:
         table = build_query_word_table(q, BLOSUM62, k=3, threshold=11)
         coder = KmerWordCoder(3)
         wch = coder.encode(PROTEIN.encode("WCH"))
-        assert 0 in table[wch] and 3 in table[wch]
+        assert table.positions_of(wch).tolist() == [0, 3]
+        assert table_rows(table) == per_position_table(q, 3, 11)
 
 
 class TestExtension:
@@ -234,33 +256,19 @@ class TestUngappedFallback:
 
 
 class TestNeighborhoodMemoization:
-    """Repeated query k-mers share one neighbourhood enumeration."""
+    """Repeated query k-mers: one table row lists every occurrence."""
 
-    def test_repeated_kmers_enumerated_once(self, monkeypatch):
-        import repro.heuristic.kmer as kmer_mod
-
-        real = kmer_mod.neighborhood_words
-        calls: list[bytes] = []
-
-        def counting(kmer, matrix, threshold, **kwargs):
-            calls.append(kmer.tobytes())
-            return real(kmer, matrix, threshold, **kwargs)
-
-        monkeypatch.setattr(kmer_mod, "neighborhood_words", counting)
+    def test_repeated_kmers_enumerated_once(self):
         # k-mers of WCHWCHWCH: WCH, CHW, HWC, WCH, CHW, HWC, WCH —
         # three distinct words over seven positions.
         q = PROTEIN.encode("WCHWCHWCH")
         table = build_query_word_table(q, BLOSUM62, k=3, threshold=11)
-        assert len(calls) == 3, "one enumeration per distinct k-mer"
-        assert len(set(calls)) == len(calls)
-
-        # The memoized table is identical to per-occurrence enumeration.
         coder = KmerWordCoder(3)
-        expected: dict[int, list[int]] = {}
-        for i in range(len(q) - 2):
-            for word in real(q[i : i + 3], BLOSUM62, 11, coder=coder):
-                expected.setdefault(word, []).append(i)
-        assert table == expected
+        for i, positions in enumerate(([0, 3, 6], [1, 4], [2, 5])):
+            word = coder.encode(q[i : i + 3])
+            assert table.positions_of(word).tolist() == positions
+        # The table is identical to per-occurrence enumeration.
+        assert table_rows(table) == per_position_table(q, 3, 11)
 
 
 class TestTwoHitSeeding:

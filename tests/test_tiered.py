@@ -307,3 +307,39 @@ class TestObservability:
         assert result.hits
         assert result.hits[0].index == 0
         assert result.hits[0].score == exact.hits[0].score
+
+
+class TestNonProteinAlphabet:
+    def test_dna_tiered_modes_score_like_exhaustive(self):
+        # A 5-letter matrix: neighbourhood words come from its own codes,
+        # not from the 20 standard protein residues.
+        from repro.alphabet import DNA
+        from repro.scoring import match_mismatch_matrix
+
+        rng = np.random.default_rng(41)
+        letters = np.array(list("ACGT"))
+        query = "".join(rng.choice(letters, 120))
+        records = []
+        for k in range(30):
+            seq = "".join(rng.choice(letters, int(rng.integers(40, 300))))
+            if k % 6 == 0:
+                copy = [
+                    c if rng.random() > 0.1 else str(rng.choice(letters))
+                    for c in query
+                ]
+                at = int(rng.integers(0, len(seq)))
+                seq = seq[:at] + "".join(copy) + seq[at:]
+            records.append(FastaRecord(f"dna{k}", seq))
+        db = SequenceDatabase.from_records(records, alphabet=DNA)
+        base = dict(
+            matrix=match_mismatch_matrix(5, -4, alphabet=DNA),
+            alphabet=DNA, top_k=10,
+        )
+        exact = SearchPipeline(SearchOptions(**base)).search(query, db)
+        for mode in ("sensitive", "fast"):
+            result = SearchPipeline(
+                SearchOptions(**base, mode=mode)
+            ).search(query, db)
+            assert len(result.hits) >= 5, mode
+            for hit in result.hits:
+                assert hit.score == int(exact.scores[hit.index]), mode
