@@ -699,7 +699,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             chunk_size=args.chunk_size,
             top_k=args.top,
             injector=injector,
-            deadline=deadline,
         ),
         metrics=registry,
         workers=args.workers,
@@ -710,7 +709,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         chunk_timeout=args.chunk_timeout,
     )
     try:
-        result = search.search_fasta(query, args.db_fasta, query_name=qname)
+        result = search.search_fasta(
+            query, args.db_fasta, query_name=qname, deadline=deadline,
+        )
     finally:
         search.close()
     print(result.summary())

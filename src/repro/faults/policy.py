@@ -141,9 +141,9 @@ class Deadline:
     ``time.time()`` against the same ``expires_at`` is meaningful in
     any process on the host.
 
-    Build one with :meth:`after`::
+    Build one with :meth:`after` and pass it to one search call::
 
-        opts = SearchOptions(deadline=Deadline.after(30.0))
+        pipeline.search(query, db, deadline=Deadline.after(30.0))
     """
 
     expires_at: float  # epoch seconds (time.time() clock)

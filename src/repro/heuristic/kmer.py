@@ -94,13 +94,15 @@ def neighborhood_words(
 
     Branch-and-bound enumeration: a partial word is abandoned as soon as
     its score plus the best still-achievable remainder falls below the
-    threshold.  ``standard_only`` restricts neighbours to the 20 standard
-    residues (ambiguity codes never help a seed).
+    threshold.  ``standard_only`` restricts neighbours to the first
+    ``min(20, matrix.size)`` codes, as :func:`build_query_word_table`
+    does (the standard residues of a protein matrix; ambiguity codes
+    never help a seed).
     """
     c = coder or KmerWordCoder(len(kmer), matrix.alphabet)
     if len(kmer) != c.k:
         raise EngineError("kmer length does not match the coder")
-    limit = 20 if standard_only else matrix.size
+    limit = min(20, matrix.size) if standard_only else matrix.size
     sub = matrix.data
     # Best achievable score per remaining position (suffix maxima).
     best_rest = np.zeros(c.k + 1, dtype=np.int64)

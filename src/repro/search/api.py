@@ -9,10 +9,9 @@ all share:
 * :class:`SearchOptions` — every search-semantic knob (scoring scheme,
   lane width, kernel, fault injector, ...) in one frozen dataclass.
   All three entrypoints accept it as their ``options`` argument — the
-  *only* spelling of search semantics; the old per-class keywords are
-  rejected with a ``TypeError`` naming the migration (see
-  :func:`unify_options`), because the wire schema of
+  *only* spelling of search semantics, because the wire schema of
   :mod:`repro.serve` requires exactly one spelling of every option.
+  A deadline is not an option: every search method takes it per call.
 * :class:`SearchRequest` — one query of a batch, as consumed by
   :class:`repro.service.SearchService`.
 * :class:`SearchOutcome` — the structural protocol every result type
@@ -100,13 +99,10 @@ class SearchOptions:
     injector:
         Optional fault injector; payloads then cross a checksum guard.
         Exhaustive scans only: rejected together with a tiered ``mode``.
-    deadline:
-        Optional end-to-end :class:`~repro.faults.Deadline`.  The
-        resident pipeline raises
-        :class:`~repro.exceptions.DeadlineExceeded` on expiry; the
-        streaming entry points return a typed
-        :class:`~repro.search.PartialResult` carrying the hits merged
-        so far instead.
+
+    A :class:`~repro.faults.Deadline` is not an option: it belongs to
+    one call, so every search method takes it as its ``deadline``
+    argument.
     """
 
     matrix: SubstitutionMatrix | None = None
@@ -119,7 +115,6 @@ class SearchOptions:
     chunk_size: int = 512
     alphabet: Alphabet = field(default_factory=lambda: PROTEIN)
     injector: FaultInjector | None = None
-    deadline: Deadline | None = None
 
     def __post_init__(self) -> None:
         if self.lanes is not None and self.lanes < 1:
@@ -202,9 +197,8 @@ class SearchRequest:
     """One query of a service batch.
 
     ``top_k`` overrides the batch-wide :attr:`SearchOptions.top_k` for
-    this request only; ``None`` inherits it.  ``deadline`` likewise
-    overrides the batch-wide :attr:`SearchOptions.deadline` for this
-    request.
+    this request only; ``None`` inherits it.  ``deadline`` bounds this
+    request alone (``None``: no deadline).
     """
 
     query: Any  # residue string or encoded uint8 array
@@ -242,36 +236,12 @@ class SearchOutcome(Protocol):
     def provenance(self) -> Mapping[str, Any]: ...
 
 
-def unify_options(
-    options: Any,
-    legacy: Mapping[str, Any] | None = None,
-    *,
-    owner: str,
-) -> SearchOptions:
+def unify_options(options: Any, *, owner: str) -> SearchOptions:
     """Resolve an entrypoint's ``options`` argument — one spelling only.
 
     ``options`` must be a :class:`SearchOptions` or ``None`` (library
-    defaults).  ``legacy`` carries an entrypoint's ``**legacy``
-    catch-all: any old per-class keyword (``SearchPipeline(lanes=16)``,
-    ``StreamingSearch(chunk_size=32)``) raises a hard ``TypeError``
-    naming the one-line migration.  The deprecation shim that used to
-    merge-and-warn is gone — the versioned wire schema of
-    :mod:`repro.serve` requires exactly one spelling of every option,
-    so the in-process API has exactly one too.
+    defaults).
     """
-    if legacy:
-        names = sorted(legacy)
-        known = [k for k in names if k in SearchOptions.field_names()]
-        if known:
-            spelled = ", ".join(f"{k}=..." for k in known)
-            raise TypeError(
-                f"{owner}({spelled}) per-class keyword arguments were "
-                f"removed; pass repro.SearchOptions({spelled}) as the "
-                f"'options' argument instead"
-            )
-        raise TypeError(
-            f"{owner}() got an unexpected keyword argument {names[0]!r}"
-        )
     if options is None:
         return SearchOptions()
     if isinstance(options, SearchOptions):

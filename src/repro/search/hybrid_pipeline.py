@@ -125,9 +125,8 @@ class HybridSearchPipeline:
         chunks: int = 24,
         metrics: MetricsRegistry | None = None,
         workers: int | None = None,
-        **legacy,
     ) -> None:
-        opts = unify_options(options, legacy, owner="HybridSearchPipeline")
+        opts = unify_options(options, owner="HybridSearchPipeline")
         if scheduler not in ("static", "queue"):
             raise PipelineError(
                 f"scheduler must be 'static' or 'queue', got {scheduler!r}"

@@ -19,6 +19,7 @@ from ..core.traceback import align_pair
 from ..db.database import SequenceDatabase
 from ..db.preprocess import PreprocessedDatabase, preprocess_database
 from ..exceptions import ParallelError, PipelineError
+from ..faults.policy import Deadline
 from ..metrics.counters import METRICS, MetricsRegistry
 from ..obs.tracer import get_tracer
 from .api import SearchOptions, unify_options
@@ -37,9 +38,7 @@ class SearchPipeline:
     options:
         A :class:`~repro.search.SearchOptions` carrying the search
         semantics (scoring scheme, lanes, kernel, profile, alphabet,
-        fault injector) — the only spelling of search semantics.  The
-        removed per-class keywords (``matrix``, ``gaps``, ``lanes``,
-        ...) raise a ``TypeError`` naming the migration.
+        fault injector) — the only spelling of search semantics.
     block_cols:
         Cache-blocking tile width forwarded to the engine.
     workers:
@@ -73,9 +72,8 @@ class SearchPipeline:
         workers: int | None = None,
         parallel_chunk_size: int | None = None,
         parallel_broadcast: str = "auto",
-        **legacy,
     ) -> None:
-        opts = unify_options(options, legacy, owner="SearchPipeline")
+        opts = unify_options(options, owner="SearchPipeline")
         self.options = opts
         self.context = ctx = ScanContext.resolve(opts, block_cols=block_cols)
         self.matrix, self.gaps, self.alphabet = (
@@ -144,7 +142,7 @@ class SearchPipeline:
             "parallel.fallback", reason=f"{type(exc).__name__}: {exc}"
         )
 
-    def _score_parallel(self, q, database, pre, tracer):
+    def _score_parallel(self, q, database, pre, tracer, deadline):
         """Score every group on the process pool.
 
         Returns ``(sorted_scores, saturated, redone, chunk_results)`` or
@@ -164,7 +162,7 @@ class SearchPipeline:
             scores, saturated, redone, results = backend.score_groups(
                 q, self.matrix, self.gaps, self.context.engine_config,
                 plan=plan, chunk_size=self.parallel_chunk_size,
-                deadline=self.options.deadline,
+                deadline=deadline,
             )
         except ParallelError as exc:
             self._note_fallback(tracer, exc)
@@ -217,6 +215,7 @@ class SearchPipeline:
         top_k: int | None = None,
         traceback: bool = False,
         preprocessed: PreprocessedDatabase | None = None,
+        deadline: Deadline | None = None,
     ) -> SearchResult:
         """Run Algorithm 1 and return ranked hits.
 
@@ -224,7 +223,9 @@ class SearchPipeline:
         alignment (paper Section II step 4) — done only for the top
         hits, as real tools do, because traceback needs the O(m*n)
         matrices.  ``top_k=None`` falls back to the pipeline's
-        :attr:`SearchOptions.top_k`.
+        :attr:`SearchOptions.top_k`.  An expired ``deadline`` raises
+        :class:`~repro.exceptions.DeadlineExceeded` before the next
+        lane group is scored.
 
         ``preprocessed`` reuses an existing sort/lane-pack of this exact
         ``database`` at this pipeline's lane width (from
@@ -238,7 +239,7 @@ class SearchPipeline:
             # database, so a handed-in preprocess is simply unused.
             return self._tiered_executor().search(
                 query, database, query_name=query_name, top_k=top_k,
-                traceback=traceback,
+                traceback=traceback, deadline=deadline,
             )
         if top_k is None:
             top_k = self.options.top_k
@@ -295,7 +296,6 @@ class SearchPipeline:
                 sat_counts: dict[int, int] = {}
                 corrupted_redone = 0
                 prepared = self.engine._prepare(q, self.matrix)
-                deadline = self.options.deadline
 
                 def compute_group(g: int) -> np.ndarray:
                     # The engine redoes saturated lanes exactly; the
@@ -310,7 +310,9 @@ class SearchPipeline:
 
                 with tracer.span("pipeline.score") as sp:
                     par = (
-                        self._score_parallel(q, database, pre, tracer)
+                        self._score_parallel(
+                            q, database, pre, tracer, deadline
+                        )
                         if self.workers > 1
                         else None
                     )
@@ -398,12 +400,14 @@ class SearchPipeline:
         database: SequenceDatabase,
         *,
         top_k: int | None = None,
+        deadline: Deadline | None = None,
     ) -> dict[str, SearchResult]:
         """Run one search per named query (the paper's 20-query sweep).
 
         The database is sorted and lane-packed **once** and reused for
         every query — preprocessing is query-independent, so N queries
-        pay for one :func:`~repro.db.preprocess_database`, not N.
+        pay for one :func:`~repro.db.preprocess_database`, not N.  One
+        ``deadline`` bounds the whole sweep.
         """
         if not queries:
             return {}
@@ -414,7 +418,8 @@ class SearchPipeline:
         )
         return {
             name: self.search(
-                q, database, query_name=name, top_k=top_k, preprocessed=pre
+                q, database, query_name=name, top_k=top_k,
+                preprocessed=pre, deadline=deadline,
             )
             for name, q in queries.items()
         }

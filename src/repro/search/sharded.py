@@ -31,7 +31,7 @@ Resilience (this is the layer long scans ride on):
   the pool (:class:`~repro.parallel.ProcessPoolBackend`): it heals,
   re-submits only the lost chunks, and quarantines poison chunks, so a
   mid-scan crash costs one heal, not the scan.
-* **Deadlines** — an :attr:`SearchOptions.deadline` bounds the scan
+* **Deadlines** — a per-call ``deadline`` bounds the scan
   end-to-end; on expiry the driver cancels the in-flight shard and
   returns a typed :class:`~repro.search.PartialResult` whose hits are
   exactly the scan of the merged prefix (whole shards only).
@@ -54,6 +54,7 @@ from typing import Iterable, Iterator
 from ..core.engine import as_codes
 from ..db.shards import Shard, ShardSpec, encode_record, iter_shards
 from ..exceptions import DeadlineExceeded, PipelineError
+from ..faults.policy import Deadline
 from ..metrics.counters import METRICS, MetricsRegistry
 from ..obs.tracer import get_tracer
 from .api import SearchOptions
@@ -78,9 +79,8 @@ class ShardedStreamingSearch(_StreamEntrypoints):
     options:
         Shared :class:`~repro.search.SearchOptions`; ``chunk_size`` is
         the per-task record batch (identical meaning to the serial
-        :class:`~repro.search.StreamingSearch`), ``top_k`` the hits
-        retained (``0`` = scores-only accounting, no hits), and
-        ``deadline`` (when set) bounds the scan end-to-end.  Only
+        :class:`~repro.search.StreamingSearch`) and ``top_k`` the hits
+        retained (``0`` = scores-only accounting, no hits).  Only
         ``mode="exact"`` is accepted: a tiered scan prunes most of the
         stream before exact scoring and runs serially in
         :class:`~repro.search.StreamingSearch`.
@@ -309,6 +309,7 @@ class ShardedStreamingSearch(_StreamEntrypoints):
         database_name: str = "<stream>",
         top_k: int | None = None,
         total_records: int | None = None,
+        deadline: Deadline | None = None,
         _resume: bool = False,
     ) -> StreamingResult:
         """Stream records through the pool; return the serial top-k.
@@ -319,8 +320,8 @@ class ShardedStreamingSearch(_StreamEntrypoints):
         bit-identical to :class:`~repro.search.StreamingSearch` over the
         same stream — including when the pool healed worker deaths
         mid-scan, and including a resumed scan continuing a journal.
-        On deadline expiry a :class:`~repro.search.PartialResult` is
-        returned instead (``total_records``, when known, gives it a
+        When ``deadline`` expires a :class:`~repro.search.PartialResult`
+        is returned instead (``total_records``, when known, gives it a
         completion fraction).  ``_resume`` turns resume on for this call
         only, leaving :attr:`resume_enabled` untouched (see :meth:`resume`).
         """
@@ -328,7 +329,6 @@ class ShardedStreamingSearch(_StreamEntrypoints):
         q = as_codes(query, ctx.alphabet)
         if top_k is None:
             top_k = self.options.top_k
-        deadline = self.options.deadline
         injector = self.options.injector
         backend = self.start()
         fingerprint = None
@@ -487,8 +487,9 @@ class ShardedStreamingSearch(_StreamEntrypoints):
         """Continue a journalled scan over the same stream.
 
         Equivalent to :meth:`search_records` with resume forced on for
-        this one call: the journal's merged prefix is skipped and the
-        scan continues from the last merged shard.  The final result is
+        this one call (``kwargs`` are its ``top_k``, ``deadline``,
+        ...): the journal's merged prefix is skipped and the scan
+        continues from the last merged shard.  The final result is
         bit-identical to an uninterrupted run.  Requires a ``journal``
         path; a missing or mismatching journal simply scans from the
         start.

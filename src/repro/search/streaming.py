@@ -9,6 +9,7 @@ the hit heap are ever resident.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -16,6 +17,7 @@ from ..core.engine import as_codes
 from ..db.fasta import FastaRecord
 from ..db.shards import encode_record
 from ..exceptions import ParallelError, PipelineError
+from ..faults.policy import Deadline
 from ..metrics.counters import METRICS, MetricsRegistry
 from ..obs.tracer import get_tracer
 from .api import SearchOptions, unify_options
@@ -144,7 +146,7 @@ class _StreamEntrypoints:
 
     def search_fasta(
         self, query, path, *, query_name: str = "query",
-        top_k: int | None = None,
+        top_k: int | None = None, deadline: Deadline | None = None,
     ) -> StreamingResult:
         """Stream a FASTA file from disk (never fully loaded)."""
         from pathlib import Path
@@ -153,18 +155,18 @@ class _StreamEntrypoints:
 
         return self.search_records(
             query, read_fasta(path), query_name=query_name,
-            database_name=Path(path).stem, top_k=top_k,
+            database_name=Path(path).stem, top_k=top_k, deadline=deadline,
         )
 
     def search_database(
         self, query, database, *, query_name: str = "query",
-        top_k: int | None = None,
+        top_k: int | None = None, deadline: Deadline | None = None,
     ) -> StreamingResult:
         """Stream a resident :class:`~repro.db.SequenceDatabase`, in order."""
         return self.search_records(
             query, zip(database.headers, database.sequences),
             query_name=query_name, database_name=database.name,
-            top_k=top_k, total_records=len(database),
+            top_k=top_k, total_records=len(database), deadline=deadline,
         )
 
 
@@ -180,9 +182,7 @@ class StreamingSearch(_StreamEntrypoints):
         toward the earlier database record (deterministic).  With a
         fault injector set, each chunk's score payload crosses a
         checksum guard; corrupted chunks are recomputed, so the top-k
-        matches the fault-free scan.  The removed per-class keywords
-        (``chunk_size``, ``top_k``, ...) raise a ``TypeError`` naming
-        the migration.
+        matches the fault-free scan.
     workers:
         ``1`` (default) scans serially in-process.  ``> 1`` routes
         every chunk through a persistent worker-process pool, reading
@@ -199,8 +199,8 @@ class StreamingSearch(_StreamEntrypoints):
         pool's hang watchdog (see
         :class:`~repro.search.sharded.ShardedStreamingSearch`).
 
-    A :attr:`SearchOptions.deadline` bounds the scan end-to-end; on
-    expiry both the serial and the sharded path return a typed
+    A ``deadline`` passed to a search call bounds that scan end-to-end;
+    on expiry both the serial and the sharded path return a typed
     :class:`PartialResult` with everything merged in time.
     """
 
@@ -215,9 +215,8 @@ class StreamingSearch(_StreamEntrypoints):
         journal=None,
         resume: bool = False,
         chunk_timeout: float | None = None,
-        **legacy,
     ) -> None:
-        opts = unify_options(options, legacy, owner="StreamingSearch")
+        opts = unify_options(options, owner="StreamingSearch")
         if int(workers) < 1:
             raise PipelineError(
                 f"worker count must be positive, got {workers}"
@@ -233,28 +232,34 @@ class StreamingSearch(_StreamEntrypoints):
         self.metrics = metrics if metrics is not None else METRICS
         self.engine = self.context.make_engine()
         self._sharded = None
+        # Guards the check-then-create of ``_sharded``: two threads
+        # sharing a fresh instance must not each build (and one leak)
+        # a sharded scan and its worker pool.
+        self._sharded_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _sharded_driver(self):
         """The lazily built pool-backed driver (``workers > 1`` only)."""
-        if self._sharded is None:
-            from .sharded import ShardedStreamingSearch
+        with self._sharded_lock:
+            if self._sharded is None:
+                from .sharded import ShardedStreamingSearch
 
-            self._sharded = ShardedStreamingSearch(
-                self.options,
-                workers=self.workers,
-                shard_residues=self.shard_residues,
-                shard_records=self.shard_records,
-                journal=self.journal,
-                resume=self.resume,
-                chunk_timeout=self.chunk_timeout,
-                metrics=self.metrics,
-            )
-        return self._sharded
+                self._sharded = ShardedStreamingSearch(
+                    self.options,
+                    workers=self.workers,
+                    shard_residues=self.shard_residues,
+                    shard_records=self.shard_records,
+                    journal=self.journal,
+                    resume=self.resume,
+                    chunk_timeout=self.chunk_timeout,
+                    metrics=self.metrics,
+                )
+            return self._sharded
 
     def close(self) -> None:
         """Shut down the worker pool, if one was started (idempotent)."""
-        sharded, self._sharded = self._sharded, None
+        with self._sharded_lock:
+            sharded, self._sharded = self._sharded, None
         if sharded is not None:
             sharded.close()
 
@@ -275,15 +280,17 @@ class StreamingSearch(_StreamEntrypoints):
         database_name: str = "<stream>",
         top_k: int | None = None,
         total_records: int | None = None,
+        deadline: Deadline | None = None,
     ) -> StreamingResult:
         """Stream records through the engine; return the top-k.
 
         ``records`` may be :class:`~repro.db.fasta.FastaRecord` objects
         or ``(header, sequence)`` pairs.  ``top_k`` overrides the
         options' value for this one search (``0`` = scores-only
-        accounting, no ranked hits).  ``total_records`` (when known)
-        only annotates a deadline-truncated :class:`PartialResult` with
-        its completion fraction.
+        accounting, no ranked hits).  An expired ``deadline`` ends the
+        scan at a chunk (sharded: shard) boundary with a
+        :class:`PartialResult`; ``total_records`` (when known) only
+        annotates it with its completion fraction.
 
         A tiered ``mode`` runs the seed -> verify -> rescore funnel on
         each chunk in place of the exhaustive scorer.  Its filter is
@@ -310,9 +317,8 @@ class StreamingSearch(_StreamEntrypoints):
                 return driver.search_records(
                     query, records, query_name=query_name,
                     database_name=database_name, top_k=top_k,
-                    total_records=total_records,
+                    total_records=total_records, deadline=deadline,
                 )
-        deadline = opts.deadline
         q = as_codes(query, ctx.alphabet)
         topk = TopK(top_k)
         scanned = cells = chunks = corrupted_redone = 0

@@ -41,6 +41,7 @@ from ..core.engine import as_codes
 from ..core.traceback import align_pair
 from ..db.database import SequenceDatabase
 from ..exceptions import PipelineError
+from ..faults.policy import Deadline
 from ..heuristic.kmer import build_query_word_table
 from ..heuristic.seeder import ArraySeeder
 from ..metrics.counters import METRICS, MetricsRegistry
@@ -324,9 +325,8 @@ class TieredSearch:
         options: SearchOptions | None = None,
         *,
         metrics: MetricsRegistry | None = None,
-        **legacy,
     ) -> None:
-        opts = unify_options(options, legacy, owner="TieredSearch")
+        opts = unify_options(options, owner="TieredSearch")
         if opts.mode == "exact":
             raise PipelineError(
                 "TieredSearch requires mode='sensitive' or 'fast'; "
@@ -347,6 +347,7 @@ class TieredSearch:
         query_name: str = "query",
         top_k: int | None = None,
         traceback: bool = False,
+        deadline: Deadline | None = None,
     ) -> TieredSearchResult:
         """Tiered scan of a resident database.
 
@@ -355,7 +356,9 @@ class TieredSearch:
         rescoring order exactly as they would in the exhaustive
         ranking (score ties break toward the earlier database record).
         ``hits`` contains only rescored survivors — never a fabricated
-        score for a pruned sequence.
+        score for a pruned sequence.  An expired ``deadline`` raises
+        :class:`~repro.exceptions.DeadlineExceeded` at the checks of
+        :meth:`TieredFilter.funnel`.
         """
         if len(database) == 0:
             raise PipelineError("cannot search an empty database")
@@ -385,7 +388,7 @@ class TieredSearch:
                 )
                 scores, finalists = filt.funnel(
                     database.sequences, self.engine, stats,
-                    deadline=self.options.deadline,
+                    deadline=deadline,
                 )
                 eligible = np.zeros(len(database), dtype=bool)
                 eligible[finalists] = True

@@ -31,8 +31,9 @@ queue.  Per-request deadlines ride in on the wire
 underneath exactly as in-process.
 
 Execution over the wrapped service is serialised: the DP work is
-CPU-bound (and the process-pool executors are not reentrant), so
-concurrent handler threads take turns; concurrency buys admission and
+CPU-bound, the process-pool executors are not reentrant, and a traced
+request installs its tracer process-wide, so concurrent handler
+threads take turns; concurrency buys admission and
 I/O overlap, not parallel scoring.  Errors map to status codes through
 the canonical taxonomy (:data:`repro.exceptions.ERROR_STATUS`), so the
 client re-raises the same typed exception an in-process call would.
@@ -238,10 +239,9 @@ class SearchServer:
         self._closed = True
         httpd, self._httpd = self._httpd, None
         if httpd is not None:
-            if self._thread is not None or True:
-                # shutdown() is safe from any thread except the one
-                # inside serve_forever; handler threads qualify.
-                httpd.shutdown()
+            # shutdown() is safe from any thread except the one inside
+            # serve_forever; handler threads qualify.
+            httpd.shutdown()
             httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
@@ -435,20 +435,20 @@ class SearchServer:
 
         The server's scoring scheme is fixed at construction; a client
         that *believes* it is searching under different options must
-        fail loudly, not silently get this server's answers.  Deadlines
-        are per-request concerns and excluded from the comparison, as
-        are the retired ``schedule``/``threads`` keys every v1 client
-        still sends (no result ever depended on them).
+        fail loudly, not silently get this server's answers.  The
+        whole encodings are compared, minus the
+        :data:`~repro.serve.wire.RETIRED_OPTION_KEYS` every v1 client
+        still sends (no result depends on them).
         """
         sent = body.get("options")
         if sent is None:
             return
         if not isinstance(sent, Mapping):
             raise WireError("options must be a wire-encoded object")
-        ours = {k: v for k, v in self._options_wire.items() if k != "deadline"}
+        ours = self._options_wire
         theirs = {
             k: v for k, v in sent.items()
-            if k not in ("deadline", *wire.RETIRED_OPTION_KEYS)
+            if k not in wire.RETIRED_OPTION_KEYS
         }
         if ours != theirs:
             different = sorted(

@@ -66,10 +66,12 @@ __all__ = [
 #: ``schemas/search_wire.schema.json`` in the same commit.
 WIRE_SCHEMA_VERSION = 1
 
-#: Options keys v1 peers send but no search reads any more: they only
-#: steered the simulated OpenMP group loop.  Decoders ignore them and
-#: the server's options handshake skips them.
-RETIRED_OPTION_KEYS = ("schedule", "threads")
+#: Options keys v1 peers send but no search reads any more.
+#: ``schedule``/``threads`` only steered the simulated OpenMP group
+#: loop; a deadline belongs to one call, so it travels as
+#: ``SearchRequest.deadline``.  Decoders ignore them and the server's
+#: options handshake skips them.
+RETIRED_OPTION_KEYS = ("schedule", "threads", "deadline")
 
 
 def envelope(kind: str, body: Mapping[str, Any]) -> dict:
@@ -146,14 +148,10 @@ def encode_options(options: SearchOptions) -> dict:
             "letters": options.alphabet.letters,
             "wildcard": options.alphabet.wildcard,
         },
-        "deadline": (
-            None if options.deadline is None
-            else {"expires_at": options.deadline.expires_at}
-        ),
     }
     # Additive optional key (schema v1 interop): the default mode is
-    # omitted entirely, so an exact-mode envelope is byte-identical to
-    # what pre-mode peers produced and expect.
+    # omitted entirely, so an exact-mode envelope carries no key that
+    # pre-mode peers did not know.
     if options.mode != "exact":
         doc["mode"] = options.mode
     return doc
@@ -167,7 +165,6 @@ def decode_options(doc: Mapping[str, Any]) -> SearchOptions:
     """
     try:
         gaps = doc["gaps"]
-        deadline = doc["deadline"]
         alpha = doc["alphabet"]
         return SearchOptions(
             matrix=_decode_matrix(doc["matrix"]),
@@ -184,9 +181,6 @@ def decode_options(doc: Mapping[str, Any]) -> SearchOptions:
             top_k=doc["top_k"],
             chunk_size=doc["chunk_size"],
             alphabet=Alphabet(alpha["letters"], wildcard=alpha["wildcard"]),
-            deadline=None if deadline is None else Deadline(
-                expires_at=deadline["expires_at"]
-            ),
         )
     except (KeyError, TypeError) as exc:
         raise WireError(f"malformed wire SearchOptions: {exc!r}") from exc

@@ -20,8 +20,8 @@ protocol and is score-identical to the single-query pipeline.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, replace
+from contextlib import nullcontext
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..db.database import SequenceDatabase
@@ -134,7 +134,7 @@ class SearchService:
     ----------
     options:
         Shared :class:`~repro.search.SearchOptions` for every request
-        (per-request ``top_k``/``traceback`` still apply).
+        (per-request ``top_k``/``traceback``/``deadline`` still apply).
     executor:
         ``"inprocess"`` (default) runs everything on this process;
         ``"process"`` scores on a persistent pool of ``workers`` real
@@ -269,60 +269,12 @@ class SearchService:
             else nullcontext()
         )
 
-    def _deadline_targets(self) -> list:
-        """Every live executor whose options can carry a deadline."""
-        return [
-            obj
-            for obj in (
-                self._pipe,
-                self._stream,
-                getattr(self._stream, "_sharded", None),
-            )
-            if obj is not None and hasattr(obj, "options")
-        ]
-
-    @contextmanager
-    def _deadline_scope(self, deadline):
-        """Pin a per-request deadline onto every live executor.
-
-        Executors read :attr:`SearchOptions.deadline` at search time,
-        so swapping their (frozen) options object in and back out is
-        enough to scope the request's deadline to exactly this call.
-
-        An executor built lazily *during* the scoped call — the sharded
-        driver on its first request — is constructed from the
-        deadline-bearing options and is not in the entry snapshot, so
-        the exit path re-enumerates the executors and strips the scoped
-        deadline from any it did not see on entry.  Without that, the
-        first deadline-carrying request would pin its (soon expired)
-        deadline onto every later request through that executor.
-        """
-        if deadline is None:
-            yield
-            return
-        targets = self._deadline_targets()
-        saved = [(obj, obj.options) for obj in targets]
-        for obj in targets:
-            obj.options = replace(obj.options, deadline=deadline)
-        try:
-            yield
-        finally:
-            entered = {id(obj) for obj, _ in saved}
-            for obj, opts in saved:
-                obj.options = opts
-            for obj in self._deadline_targets():
-                if id(obj) not in entered:
-                    obj.options = replace(
-                        obj.options, deadline=self.options.deadline
-                    )
-
     def _run_one(
         self, req: SearchRequest, database: SequenceDatabase
     ) -> SearchOutcome:
         self.metrics.increment("service.requests")
         with get_tracer().span("service.request") as sp, \
-                self.metrics.timer("service.request.seconds").time(), \
-                self._deadline_scope(req.deadline):
+                self.metrics.timer("service.request.seconds").time():
             if sp:
                 sp.set_attributes(request=req.name, database=database.name)
             if (
@@ -334,7 +286,7 @@ class SearchService:
                 # database, stream it in bounded shards.
                 return self._stream.search_database(
                     req.query, database, query_name=req.name,
-                    top_k=req.top_k,
+                    top_k=req.top_k, deadline=req.deadline,
                 )
             # Tiered modes never consume a lane-pack; skip the
             # preprocess cache rather than building an unused one.
@@ -345,7 +297,7 @@ class SearchService:
             return self._pipe.search(
                 req.query, database, query_name=req.name,
                 top_k=req.top_k, traceback=req.traceback,
-                preprocessed=pre,
+                preprocessed=pre, deadline=req.deadline,
             )
 
     def search(

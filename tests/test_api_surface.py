@@ -87,7 +87,7 @@ PUBLIC_API = {
 
 OPTION_FIELDS = (
     "matrix", "gaps", "lanes", "kernel", "profile", "mode",
-    "top_k", "chunk_size", "alphabet", "injector", "deadline",
+    "top_k", "chunk_size", "alphabet", "injector",
 )
 
 
@@ -180,19 +180,23 @@ class TestSearchOptions:
 # legacy kwargs are gone: one spelling of every option, enforced hard
 # ---------------------------------------------------------------------------
 class TestLegacyKwargsRemoved:
-    def test_pipeline_legacy_kwargs_raise_with_migration(self):
-        with pytest.raises(TypeError, match=r"SearchOptions\(lanes=\.\.\.\)"):
+    def test_pipeline_legacy_kwargs_raise(self):
+        with pytest.raises(
+            TypeError, match="unexpected keyword argument 'lanes'"
+        ):
             SearchPipeline(lanes=4)
-        with pytest.raises(TypeError, match="removed"):
+        with pytest.raises(
+            TypeError, match="unexpected keyword argument 'matrix'"
+        ):
             SearchPipeline(matrix=BLOSUM62, gaps=GapModel(10, 2))
 
     def test_pipeline_legacy_positional_matrix_raises(self):
         with pytest.raises(TypeError, match=r"SearchOptions\(matrix=\.\.\.\)"):
             SearchPipeline(BLOSUM62)
 
-    def test_streaming_legacy_kwargs_raise_with_migration(self):
+    def test_streaming_legacy_kwargs_raise(self):
         with pytest.raises(
-            TypeError, match=r"SearchOptions\(chunk_size=\.\.\., top_k=\.\.\.\)"
+            TypeError, match="unexpected keyword argument 'chunk_size'"
         ):
             StreamingSearch(chunk_size=4, top_k=3)
 
@@ -203,8 +207,6 @@ class TestLegacyKwargsRemoved:
             HybridSearchPipeline(host, phi, matrix=BLOSUM62)
 
     def test_unknown_kwarg_still_reads_like_python(self):
-        # Non-option junk keywords get the standard unexpected-keyword
-        # message, not migration advice for a field that never existed.
         with pytest.raises(
             TypeError, match="unexpected keyword argument 'bogus'"
         ):

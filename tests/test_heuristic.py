@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.alphabet import PROTEIN
+from repro.alphabet import DNA, PROTEIN
 from repro.db import SequenceDatabase, SyntheticSwissProt
 from repro.db.fasta import FastaRecord
 from repro.db.mutate import plant_homologs
@@ -13,7 +13,7 @@ from repro.heuristic import (
     build_query_word_table, gapped_extend, neighborhood_words,
     ungapped_extend,
 )
-from repro.scoring import BLOSUM62, paper_gap_model
+from repro.scoring import BLOSUM62, match_mismatch_matrix, paper_gap_model
 from repro.search import SearchPipeline
 from tests.conftest import random_codes
 
@@ -24,8 +24,7 @@ def per_position_table(q, k, threshold, matrix=BLOSUM62):
     table: dict[int, list[int]] = {}
     for i in range(len(q) - k + 1):
         for word in neighborhood_words(
-            q[i : i + k], matrix, threshold, coder=coder,
-            standard_only=matrix.size >= 20,
+            q[i : i + k], matrix, threshold, coder=coder
         ):
             table.setdefault(word, []).append(i)
     return table
@@ -110,6 +109,19 @@ class TestNeighborhood:
         wch = coder.encode(PROTEIN.encode("WCH"))
         assert table.positions_of(wch).tolist() == [0, 3]
         assert table_rows(table) == per_position_table(q, 3, 11)
+
+    def test_small_matrix_words_match_word_table(self, rng):
+        # A 5-code DNA matrix has fewer than 20 neighbour codes.
+        dna = match_mismatch_matrix(5, -4, alphabet=DNA)
+        q = rng.integers(0, 4, 30).astype(np.uint8)
+        table = build_query_word_table(q, dna, k=3, threshold=6)
+        coder = KmerWordCoder(3, DNA)
+        for i in range(len(q) - 2):
+            words = neighborhood_words(q[i : i + 3], dna, 6, coder=coder)
+            assert sorted(words) == [
+                w for w in np.flatnonzero(np.diff(table.offsets))
+                if i in table.positions_of(int(w))
+            ]
 
 
 class TestExtension:

@@ -1,8 +1,9 @@
 """Lazily built parts shared by two threads are built once.
 
 :class:`SearchPipeline` creates its worker pool and its tiered executor
-on first use, and :class:`PreprocessCache` fills an entry on first
-sight.  Each is a check-then-create: two threads arriving together must
+on first use, :class:`StreamingSearch` its sharded scan, and
+:class:`PreprocessCache` fills an entry on first sight.  Each is a
+check-then-create: two threads arriving together must
 not both build, or the overwritten pool is never closed and the cache
 preprocesses the same database twice.  Every fake constructor below
 sleeps so an unguarded check-then-create loses the race reliably.
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 import repro.parallel.backend as backend_mod
+import repro.search.sharded as sharded_mod
 import repro.search.tiered as tiered_mod
 import repro.service.cache as cache_mod
 from repro.db import SequenceDatabase
@@ -25,7 +27,7 @@ from repro.db.fasta import FastaRecord
 from repro.db.synthetic import SyntheticSwissProt
 from repro.exceptions import ParallelError
 from repro.metrics import MetricsRegistry
-from repro.search import SearchOptions, SearchPipeline
+from repro.search import SearchOptions, SearchPipeline, StreamingSearch
 from repro.service import PreprocessCache
 
 QUERY = "MKTAYIAKQRQISFVKSHFSRQLEERLGLIEVQ"
@@ -85,6 +87,39 @@ def test_concurrent_searches_build_one_pool(monkeypatch, db):
     for res in results:  # both fell back in-process to the same scores
         np.testing.assert_array_equal(res.scores, serial.scores)
     pipe.close()
+    assert all(b.closed for b in built)
+
+
+def test_concurrent_streamed_searches_build_one_sharded_scan(monkeypatch, db):
+    built = []
+
+    class SlowSharded:
+        """A sharded scan slow to build whose pool cannot start."""
+
+        closed = False
+
+        def __init__(self, *args, **kwargs):
+            time.sleep(0.05)
+            built.append(self)
+
+        def start(self):
+            raise ParallelError("fake pool cannot start")
+
+        def close(self):
+            self.closed = True
+
+    monkeypatch.setattr(sharded_mod, "ShardedStreamingSearch", SlowSharded)
+    serial = StreamingSearch(SearchOptions()).search_database(QUERY, db)
+    stream = StreamingSearch(
+        SearchOptions(), workers=2, metrics=MetricsRegistry()
+    )
+    results = run_together(lambda: stream.search_database(QUERY, db))
+    assert len(built) == 1
+    for res in results:  # both fell back to the serial scan
+        assert [(h.index, h.score) for h in res.hits] == [
+            (h.index, h.score) for h in serial.hits
+        ]
+    stream.close()
     assert all(b.closed for b in built)
 
 

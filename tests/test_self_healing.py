@@ -14,6 +14,7 @@ The acceptance criteria of the robustness layer:
 
 from __future__ import annotations
 
+import threading
 import time
 from itertools import islice
 
@@ -65,6 +66,45 @@ def stalling_stream(db, stall_after, sleep_seconds):
         if i == stall_after:
             time.sleep(sleep_seconds)
         yield item
+
+
+class HeldCalls:
+    """Wraps ``fn`` so that its first ``n`` calls each wait for release.
+
+    ``entered[k]`` is set when call ``k`` arrives; it proceeds once
+    ``release[k]`` is set.  Later calls pass straight through.
+    """
+
+    def __init__(self, fn, n):
+        self.fn = fn
+        self.entered = [threading.Event() for _ in range(n)]
+        self.release = [threading.Event() for _ in range(n)]
+        self._calls = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, *args, **kwargs):
+        with self._lock:
+            k, self._calls = self._calls, self._calls + 1
+        if k < len(self.entered):
+            self.entered[k].set()
+            if not self.release[k].wait(timeout=30):
+                raise TimeoutError(f"held call {k} was never released")
+        return self.fn(*args, **kwargs)
+
+
+def in_thread(fn):
+    """Run ``fn`` on a new thread; the dict receives its result or error."""
+    box = {}
+
+    def run():
+        try:
+            box["result"] = fn()
+        except Exception as exc:  # checked by the caller
+            box["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread, box
 
 
 class CrashedStream(RuntimeError):
@@ -211,12 +251,10 @@ class TestDeadlines:
 
     def test_serial_scan_returns_partial_result(self, db):
         stall = min(150, len(db) // 2)
-        opts = SearchOptions(
-            chunk_size=16, top_k=6, deadline=Deadline.after(0.5)
-        )
+        opts = SearchOptions(chunk_size=16, top_k=6)
         result = StreamingSearch(opts).search_records(
             QUERY, stalling_stream(db, stall, 1.5),
-            total_records=len(db),
+            total_records=len(db), deadline=Deadline.after(0.5),
         )
         assert isinstance(result, PartialResult)
         assert result.sequences_scanned < len(db)
@@ -229,16 +267,14 @@ class TestDeadlines:
 
     def test_sharded_scan_returns_partial_result(self, db):
         stall = min(150, len(db) // 2)
-        opts = SearchOptions(
-            chunk_size=16, top_k=6, deadline=Deadline.after(0.5)
-        )
+        opts = SearchOptions(chunk_size=16, top_k=6)
         registry = MetricsRegistry()
         with ShardedStreamingSearch(
             opts, workers=2, shard_records=64, metrics=registry,
         ) as sharded:
             result = sharded.search_records(
                 QUERY, stalling_stream(db, stall, 1.5),
-                total_records=len(db),
+                total_records=len(db), deadline=Deadline.after(0.5),
             )
         assert isinstance(result, PartialResult)
         assert result.sequences_scanned < len(db)
@@ -273,17 +309,16 @@ class TestDeadlines:
 
         small = db.subset(np.arange(12), name="tiny")
         expired = Deadline(expires_at=time.time() - 1.0)
-        pipe = SearchPipeline(SearchOptions(top_k=3, deadline=expired))
+        pipe = SearchPipeline(SearchOptions(top_k=3))
         with pytest.raises(DeadlineExceeded):
-            pipe.search(QUERY, small)
+            pipe.search(QUERY, small, deadline=expired)
 
     def test_generous_deadline_changes_nothing(self, db):
         opts = SearchOptions(chunk_size=16, top_k=6)
         serial = StreamingSearch(opts).search_database(QUERY, db)
-        roomy = SearchOptions(
-            chunk_size=16, top_k=6, deadline=Deadline.after(3600.0)
+        result = StreamingSearch(opts).search_database(
+            QUERY, db, deadline=Deadline.after(3600.0)
         )
-        result = StreamingSearch(roomy).search_database(QUERY, db)
         assert not isinstance(result, PartialResult)
         assert hit_tuples(result) == hit_tuples(serial)
 
@@ -335,15 +370,12 @@ class TestResumableScans:
         serial = StreamingSearch(opts).search_database(QUERY, db)
 
         stall = min(150, len(db) // 2)
-        bounded = SearchOptions(
-            chunk_size=16, top_k=6, deadline=Deadline.after(0.5)
-        )
         with ShardedStreamingSearch(
-            bounded, workers=2, shard_records=64, journal=journal,
+            opts, workers=2, shard_records=64, journal=journal,
         ) as sharded:
             partial = sharded.search_records(
                 QUERY, stalling_stream(db, stall, 1.5),
-                database_name=db.name,
+                database_name=db.name, deadline=Deadline.after(0.5),
             )
         assert isinstance(partial, PartialResult)
         assert partial.journal_path == str(journal)
@@ -591,12 +623,68 @@ class TestServiceResilience:
             outcome = service.search(SearchRequest(query=QUERY), small)
         assert outcome.best_score() >= 0
 
+    def test_free_request_beside_an_expired_one_succeeds(
+        self, db, monkeypatch
+    ):
+        small = db.subset(np.arange(10), name="small")
+        expired = Deadline(expires_at=time.time() - 1.0)
+        with SearchService(SearchOptions(top_k=3)) as service:
+            reference = service.search(SearchRequest(query=QUERY), small)
+            engine = service._pipe.engine
+            held = HeldCalls(engine._prepare, 1)
+            monkeypatch.setattr(engine, "_prepare", held)
+            # The expired request waits inside the pipeline, before its
+            # first lane group, while a deadline-free one runs through.
+            waiting, box = in_thread(lambda: service.search(
+                SearchRequest(query=QUERY, deadline=expired), small
+            ))
+            assert held.entered[0].wait(timeout=30)
+            try:
+                free = service.search(SearchRequest(query=QUERY), small)
+            finally:
+                held.release[0].set()
+                waiting.join(timeout=30)
+            assert not waiting.is_alive()
+        np.testing.assert_array_equal(free.scores, reference.scores)
+        assert isinstance(box.get("error"), DeadlineExceeded)
+
+    def test_free_request_after_overlapping_deadlines_succeeds(
+        self, db, monkeypatch
+    ):
+        small = db.subset(np.arange(10), name="small")
+        expired = Deadline(expires_at=time.time() - 1.0)
+        with SearchService(SearchOptions(top_k=3)) as service:
+            reference = service.search(SearchRequest(query=QUERY), small)
+            engine = service._pipe.engine
+            held = HeldCalls(engine._prepare, 2)
+            monkeypatch.setattr(engine, "_prepare", held)
+            # Two deadline-carrying requests overlap inside the pipeline
+            # and finish in arrival order; the first deadline has passed.
+            first, first_box = in_thread(lambda: service.search(
+                SearchRequest(query=QUERY, deadline=expired), small
+            ))
+            assert held.entered[0].wait(timeout=30)
+            second, second_box = in_thread(lambda: service.search(
+                SearchRequest(query=QUERY, deadline=Deadline.after(600.0)),
+                small,
+            ))
+            assert held.entered[1].wait(timeout=30)
+            for k, thread in enumerate((first, second)):
+                held.release[k].set()
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            free = service.search(SearchRequest(query=QUERY), small)
+        np.testing.assert_array_equal(free.scores, reference.scores)
+        assert isinstance(first_box.get("error"), DeadlineExceeded)
+        np.testing.assert_array_equal(
+            second_box["result"].scores, reference.scores
+        )
+
     def test_deadline_does_not_leak_into_lazy_sharded_driver(self, db):
         # The sharded driver is created lazily on the first sharded
-        # request; when that request carries a deadline, the driver is
-        # built from deadline-bearing options.  The scope exit must
-        # strip it, or every later deadline-free request through the
-        # driver would see a stale, eventually-expired deadline and
+        # request.  When that request carries a deadline, no later
+        # deadline-free request through it may see that deadline, or
+        # it would hit a stale, eventually-expired deadline and
         # silently truncate.
         with SearchService(
             SearchOptions(top_k=3, chunk_size=16),
@@ -609,7 +697,6 @@ class TestServiceResilience:
             assert first.best_score() >= 0
             sharded = service._stream._sharded
             assert sharded is not None, "request did not take the sharded route"
-            assert sharded.options.deadline is None
             # A later deadline-free request scans the whole database.
             full = service.search(SearchRequest(query=QUERY), db)
         assert not isinstance(full, PartialResult)
@@ -655,13 +742,10 @@ class TestKernelRegression:
 
     def test_deadline_prefix_matches_python_kernel(self, db):
         stall = min(150, len(db) // 2)
-        opts = SearchOptions(
-            chunk_size=16, top_k=6, kernel="numpy",
-            deadline=Deadline.after(0.5),
-        )
+        opts = SearchOptions(chunk_size=16, top_k=6, kernel="numpy")
         partial = StreamingSearch(opts).search_records(
             QUERY, stalling_stream(db, stall, 1.5),
-            total_records=len(db),
+            total_records=len(db), deadline=Deadline.after(0.5),
         )
         assert isinstance(partial, PartialResult)
         n = partial.sequences_scanned

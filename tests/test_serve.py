@@ -195,11 +195,13 @@ class TestTypedRemoteErrors:
         assert agreeing.search(QUERY).best_score() > 0
 
     def test_stored_v1_options_with_retired_keys_accepted(self, server):
-        # A v1 client still sends schedule/threads; no result depends
-        # on them, so the handshake ignores them — whatever their value.
+        # A v1 client still sends schedule/threads and an options-level
+        # deadline; no result depends on them, so the handshake ignores
+        # them — whatever their value, even an expired deadline.
         stored = {
             **wire.encode_options(SearchOptions()),
             "schedule": "guided", "threads": 7,
+            "deadline": {"expires_at": 1.0},
         }
         assert wire.decode_options(stored).top_k == SearchOptions().top_k
         server._verify_options({"options": stored})

@@ -207,9 +207,10 @@ class TestStreamingInvariance:
         query, db, _ = planted
         search = StreamingSearch(SearchOptions(
             mode="sensitive", top_k=10, chunk_size=10,
-            deadline=Deadline(expires_at=time.time() - 1.0),
         ))
-        result = search.search_database(query, db)
+        result = search.search_database(
+            query, db, deadline=Deadline(expires_at=time.time() - 1.0),
+        )
         assert isinstance(result, PartialResult)
         assert result.sequences_scanned < len(db)
 
@@ -217,12 +218,11 @@ class TestStreamingInvariance:
         import time
 
         query, db, _ = planted
-        pipe = SearchPipeline(SearchOptions(
-            mode="sensitive", top_k=10,
-            deadline=Deadline(expires_at=time.time() - 1.0),
-        ))
+        pipe = SearchPipeline(SearchOptions(mode="sensitive", top_k=10))
         with pytest.raises(DeadlineExceeded):
-            pipe.search(query, db)
+            pipe.search(
+                query, db, deadline=Deadline(expires_at=time.time() - 1.0),
+            )
 
 
 class TestValidation:

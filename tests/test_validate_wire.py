@@ -28,9 +28,12 @@ def request(options: dict) -> dict:
 
 def test_old_and_new_options_envelopes_valid(tmp_path):
     new = wire.encode_options(SearchOptions(top_k=4))
-    assert "schedule" not in new and "threads" not in new
-    # What every v1 client sent before the two keys were retired.
-    old = {**new, "schedule": "dynamic", "threads": 4}
+    assert not set(new) & set(wire.RETIRED_OPTION_KEYS)
+    # What every v1 client sent before these keys were retired.
+    old = {
+        **new, "schedule": "dynamic", "threads": 4,
+        "deadline": {"expires_at": 42.0},
+    }
     paths = []
     for name, options in (("new", new), ("old", old)):
         path = tmp_path / f"{name}.json"

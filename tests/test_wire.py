@@ -64,7 +64,6 @@ def assert_options_equal(a: SearchOptions, b: SearchOptions) -> None:
     assert a.chunk_size == b.chunk_size
     assert a.alphabet.letters == b.alphabet.letters
     assert a.alphabet.wildcard == b.alphabet.wildcard
-    assert a.deadline == b.deadline
 
 
 class TestEnvelope:
@@ -102,7 +101,7 @@ class TestOptionsRoundTrip:
         assert back.top_k == 0
         assert_options_equal(opts, back)
 
-    def test_explicit_matrix_gaps_and_deadline(self):
+    def test_explicit_matrix_and_gaps(self):
         opts = SearchOptions(
             matrix=BLOSUM62,
             gaps=GapModel(12, 3),
@@ -111,11 +110,9 @@ class TestOptionsRoundTrip:
             profile="query",
             top_k=3,
             chunk_size=64,
-            deadline=Deadline(expires_at=123.5),
         )
         back = roundtrip(wire.encode_options, wire.decode_options, opts)
         assert_options_equal(opts, back)
-        assert back.deadline.expires_at == 123.5
 
     def test_custom_alphabet_and_matrix(self):
         dna = Alphabet("ACGTN", wildcard="N")
@@ -152,9 +149,14 @@ class TestOptionsRoundTrip:
         # Every v1 client sends schedule/threads; they steered only the
         # simulated OpenMP loop, so encoders stop sending them and
         # decoders accept a stored v1 document that still carries them.
+        # An options-level deadline is retired the same way: it now
+        # travels only as SearchRequest.deadline.
         doc = wire.encode_options(SearchOptions(lanes=16, top_k=4))
-        assert "schedule" not in doc and "threads" not in doc
-        stored_v1 = {**doc, "schedule": "guided", "threads": 7}
+        assert not set(doc) & set(wire.RETIRED_OPTION_KEYS)
+        stored_v1 = {
+            **doc, "schedule": "guided", "threads": 7,
+            "deadline": {"expires_at": 123.5},
+        }
         assert_options_equal(
             wire.decode_options(json.loads(json.dumps(stored_v1))),
             SearchOptions(lanes=16, top_k=4),
