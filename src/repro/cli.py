@@ -729,7 +729,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         pct = f" ({frac:.0%} of the scan)" if frac is not None else ""
         where = (
             f"; resume with --journal {args.journal} --resume"
-            if args.journal else ""
+            if result.journal_path else ""
         )
         print(
             f"error: deadline expired after {result.sequences_scanned} "

@@ -12,10 +12,17 @@ row.  No Python loop over database position remains.
 
 The kernel only does real work:
 
-* Each lane group is swept in *length spans* (:func:`_length_spans`),
-  each trimmed to its longest lane, so a group's long tail does not pad
-  its short lanes.  The group stays the unit outside the kernel.
-* Each query row reads one contiguous sequence-profile plane per span.
+* Each lane group is swept as *packed lanes* (:func:`_pack_lanes`,
+  SWIPE's lane refill): its sequences are laid end to end, one pad
+  column apart, in as few physical lanes as the narrow dtype's offset
+  budget allows, and no sweep holds more than ``_SWEEP_CELLS`` padded
+  cells.  A pad column scores like a pad, and per-segment offsets in the
+  horizontal-gap scan keep a gap from crossing it, so every sequence
+  scores as if it had a lane of its own (:meth:`VectorizedEngine._sweep`).
+  Full-width sweeps give each sequence a lane of its own: their scores
+  have no bound to size the offsets by.  The lane group stays the unit
+  outside the kernel.
+* Each query row reads one contiguous sequence-profile plane per sweep.
 * The prefix scan stops at the row's *gap reach*: past it, a horizontal
   gap cannot lift ``H`` over its zero floor.
 
@@ -23,13 +30,15 @@ Two-tier width strategy (the SWIPE / SSW recompute path):
 
 * Scores are computed in a narrow element type (int16 by default,
   optionally int8) with values *clamped* at a saturation limit, exactly
-  like saturating SIMD arithmetic.
-* A lane whose running maximum reaches the limit is flagged, and only the
-  flagged lanes are redone at full int64 width, inside
-  :meth:`VectorizedEngine.score_group` — the one narrow-then-redo ladder
-  every search path runs.  Unflagged lanes are provably exact (clamping
-  can only lower values, and the first clamped real cell pins that
-  lane's maximum at the limit).
+  like saturating SIMD arithmetic.  A packed sweep lowers its limit to
+  make room for its segment offsets.
+* A sequence whose best reaches its sweep's limit is flagged, and only
+  the flagged sequences are redone at full int64 width, each in a lane
+  of its own, inside :meth:`VectorizedEngine.score_group` — the one
+  narrow-then-redo ladder every search path runs.  Unflagged sequences
+  are provably exact (clamping can only lower values, the first clamped
+  real cell pins that sequence's maximum at the limit, and a pad column
+  hands its neighbour a plain zero boundary either way).
 
 To keep int16/int8 intermediates in range the column prefix scan is tiled
 and *rebased*: each tile uses local gap-length weights ``1..w`` and carries
@@ -46,6 +55,7 @@ forced-saturation inputs.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,37 +90,74 @@ _WIDTH_DTYPES = {8: np.int8, 16: np.int16}
 # scores from mattering numerically.
 _PAD_SCORE_WIDE = np.int64(-(1 << 30))
 
-# Length spans (:func:`_length_spans`): a span of a lane group closes
-# once it holds ``_SPAN_CELLS`` padded database cells and the next lane
-# would drop its fill below ``_SPAN_FILL``.  Below that size numpy's
-# per-call dispatch costs more than the padding a split would save.
-_SPAN_CELLS = 32768
-_SPAN_FILL = 0.85
+# Packed lanes (:func:`_pack_lanes`): no sweep holds more than
+# ``_SWEEP_CELLS`` padded database cells, which bounds the sweep's
+# temporaries (the SP planes alone take 25 x 2 bytes per cell at int16).
+_SWEEP_CELLS = 45056
+# A packed narrow sweep lowers its clamp to fit the segment offsets in
+# the dtype; lanes hold at most as many sequences as keep that clamp at
+# or above ``clamp // _CLAMP_FLOOR_DIV`` (6,143 at int16).  Scores above
+# a sweep's clamp are redone at full width like any saturated lane.
+_CLAMP_FLOOR_DIV = 4
 
 
-def _length_spans(lengths: np.ndarray) -> list[np.ndarray]:
-    """Split a lane group's lanes into spans of similar length.
+def _pack_lanes(
+    lengths: np.ndarray, tile: int | None, segments: int
+) -> list[list[list[int]]]:
+    """Lay a lane group's sequences end to end in packed lanes.
 
-    Lanes are taken shortest first; each span is swept trimmed to its
-    longest lane, so a group's long tail does not pad its short lanes.
+    Returns the group's sweeps; a sweep is a list of packed lanes, and
+    a packed lane the group lanes laid in it, one pad column apart.
+    Sequences are taken longest first (SWIPE's lane refill, planned up
+    front): the first ``ceil(n / segments)`` open a lane each, and every
+    later one joins the shortest lane that still has room for it within
+    one column tile and the ``_SWEEP_CELLS`` cap and holds fewer than
+    ``segments`` sequences, or else opens a lane.  A sequence longer
+    than the tile keeps a lane to itself (the tiled path).  Lanes are
+    then swept longest first, each sweep trimmed to its first lane and
+    holding at most ``_SWEEP_CELLS`` padded cells; a multi-tile lane
+    never shares a sweep with a packed one.
     """
-    order = np.argsort(lengths, kind="stable")
-    sizes = lengths[order].tolist()
-    spans = []
-    start = real = 0
-    for k, n in enumerate(sizes):
-        held = k - start
+    sizes = lengths.tolist()
+    # Longest first; an empty lane scores 0 without a sweep.
+    order = sorted(
+        (g for g in range(len(sizes)) if sizes[g]), key=lambda g: -sizes[g]
+    )
+    limit = min(tile or _SWEEP_CELLS, _SWEEP_CELLS)
+    alone = sum(sizes[g] > limit for g in order)
+    short = len(order) - alone
+    first = alone - (-short // segments)
+    lanes: list[list[int]] = []
+    span: list[int] = []
+    room: list[tuple[int, int]] = []  # (span, lane) of lanes with room
+    for g in order:
+        n = sizes[g]
+        if len(lanes) < first or not room or room[0][0] + 1 + n > limit:
+            lanes.append([g])
+            span.append(n)
+            p = len(lanes) - 1
+        else:
+            _, p = heapq.heappop(room)
+            lanes[p].append(g)
+            span[p] += 1 + n
+        if n <= limit and len(lanes[p]) < segments:
+            heapq.heappush(room, (span[p], p))
+
+    def tiled(width: int) -> bool:
+        return tile is not None and width > tile
+
+    sweeps: list[list[list[int]]] = []
+    for p in sorted(range(len(lanes)), key=lambda p: -span[p]):
         if (
-            held
-            and sizes[k - 1] * held >= _SPAN_CELLS
-            and real + n < _SPAN_FILL * n * (held + 1)
+            sweeps
+            and (len(sweeps[-1]) + 1) * width <= _SWEEP_CELLS
+            and tiled(span[p]) == tiled(width)
         ):
-            spans.append(order[start:k])
-            start, real = k, 0
-        real += n
-    if sizes:
-        spans.append(order[start:])
-    return spans
+            sweeps[-1].append(lanes[p])
+        else:
+            sweeps.append([lanes[p]])
+            width = span[p]
+    return sweeps
 
 
 @dataclass
@@ -118,10 +165,10 @@ class KernelStats:
     """Counters for the two-tier width strategy (engine-local).
 
     ``narrow_sweeps`` and ``wide_sweeps`` count kernel sweeps: one per
-    length span of a lane group at that width, plus one wide sweep per
-    redo.  ``redo_lanes`` is the counter the overflow tests assert on:
-    it only moves when a saturated lane was actually redone at full
-    width.
+    packed sweep of a lane group at that width (:func:`_pack_lanes`),
+    plus one wide sweep per redo.  ``redo_lanes`` is the counter the
+    overflow tests assert on: it only moves when a saturated sequence
+    was actually redone at full width.
     """
 
     narrow_sweeps: int = 0
@@ -143,6 +190,18 @@ class _Prepared:
     ext_narrow: np.ndarray | None
     qp_narrow: np.ndarray | None
     vmax: int
+
+
+@dataclass(frozen=True)
+class _Tier:
+    """The sweep parameters of one arithmetic width."""
+
+    table: np.ndarray
+    qp: np.ndarray | None
+    dtype: type
+    clamp: int | None  # None: exact int64 arithmetic
+    tile: int | None  # column-tile width (None: untiled)
+    segments: int  # most sequences per packed lane
 
 
 @register_engine
@@ -206,34 +265,32 @@ class VectorizedEngine(_LaneGroupEngine):
     ) -> tuple[np.ndarray, list[int]]:
         """Score one lane group; returns exact per-lane scores and redone lanes.
 
-        The group is swept span by span (:func:`_length_spans`) at the
-        narrow width; lanes whose best reached the saturation clamp are
-        redone at full width (:meth:`_redo_wide`) and returned as the
+        The group is swept as packed lanes (:func:`_pack_lanes`) at the
+        narrow width; sequences whose best reached their sweep's clamp
+        are redone at full width (:meth:`_redo_wide`) and returned as the
         second element, so callers can account for them
         (``saturated_recomputed``).  When the narrow tier cannot
-        represent the matrix or gap model the spans are swept at full
-        width and nothing is redone.
+        represent the matrix or gap model the group is swept at full
+        width, one sequence per lane, and nothing is redone.
         """
         prep = _prepared if _prepared is not None else self._prepare(query, matrix)
         tier = self._narrow_tier(prep, int(gaps.open), int(gaps.extend))
-        if tier is None:
-            table, qp, dtype, clamp, cap = (
-                prep.ext_wide, prep.qp_wide, np.int64, None, self.block_cols
-            )
-        else:
-            table, qp = prep.ext_narrow, prep.qp_narrow
-            dtype, clamp, cap = tier
+        narrow = tier is not None
+        if not narrow:
+            tier = self._wide_tier(prep)
         best = np.zeros(group.lanes, dtype=np.int64)
-        spans = _length_spans(group.lengths)
-        for lanes in spans:
-            best[lanes] = self._sweep_lanes(
-                query, group, lanes, gaps, table, qp, dtype, clamp, cap
-            )
-        if clamp is None:
-            self.stats.wide_sweeps += len(spans)
+        sat: list[int] = []
+        sweeps = _pack_lanes(group.lengths, tier.tile, tier.segments)
+        for lanes in sweeps:
+            seqs, got, clamp = self._sweep(query, group, lanes, gaps, prep, tier)
+            best[seqs] = got
+            if narrow:
+                sat.extend(seqs[got >= clamp].tolist())
+        if not narrow:
+            self.stats.wide_sweeps += len(sweeps)
             return best, []
-        self.stats.narrow_sweeps += len(spans)
-        sat = [int(lane) for lane in np.flatnonzero(best >= clamp)]
+        self.stats.narrow_sweeps += len(sweeps)
+        sat.sort()
         if sat:
             self._redo_wide(query, group, gaps, prep, sat, best)
         return best, sat
@@ -271,16 +328,17 @@ class VectorizedEngine(_LaneGroupEngine):
     # ------------------------------------------------------------------
     # two-tier helpers
     # ------------------------------------------------------------------
-    def _narrow_tier(
-        self, prep: _Prepared, qo: int, ge: int
-    ) -> tuple[type, int, int | None] | None:
-        """``(dtype, clamp, tile cap)`` of the narrow tier, or ``None``.
+    def _narrow_tier(self, prep: _Prepared, qo: int, ge: int) -> _Tier | None:
+        """The narrow tier's sweep parameters, or ``None``.
 
-        The tile cap is the largest column-tile width keeping narrow
+        The tile is the largest column-tile width keeping narrow
         intermediates in range: ``h~ + w*ge <= info_max`` for the rebased
         scan carry (``h~ <= clamp + vmax``) and ``qo + w*ge <= info_max``
-        for the gap-cost subtraction (``None``: untiled).  ``None`` means
-        the matrix or gap model cannot be computed narrowly at all.
+        for the gap-cost subtraction (``None``: untiled).  ``segments``
+        is the most sequences a packed lane may hold: the most that keep
+        a full tile's packed clamp (:meth:`_sweep`) at or above
+        ``clamp // _CLAMP_FLOOR_DIV``.  ``None`` means the matrix or gap
+        model cannot be computed narrowly at all.
         """
         if prep.ext_narrow is None:
             return None
@@ -289,29 +347,89 @@ class VectorizedEngine(_LaneGroupEngine):
         clamp = (info_max * 3) // 4
         if qo + ge > info_max:
             return None
-        cap = self.block_cols
+        tile = self.block_cols
         if ge:
             width = min(
                 (info_max - clamp - prep.vmax) // ge, (info_max - qo) // ge
             )
             if width < 1:
                 return None
-            cap = min(width, cap or width)
-        return dtype, clamp, cap
-
-    def _sweep_lanes(
-        self, query, group, lanes, gaps, table, qp, dtype, clamp, cap
-    ) -> np.ndarray:
-        """Sweep ``lanes`` of ``group``, trimmed to the longest of them."""
-        lengths = group.lengths[lanes]
-        n_sub = int(lengths.max())
-        codes = np.minimum(group.codes[:n_sub, lanes], self.alphabet.size)
-        mask = np.arange(n_sub)[:, None] < lengths[None, :]
-        return self._lane_sweep(
-            query, codes, mask, table, qp,
-            int(gaps.open), int(gaps.first_gap_cost), int(gaps.extend),
-            dtype, clamp, max(1, min(cap or n_sub, n_sub)),
+            tile = min(width, tile or width)
+        room = info_max - qo - (tile or 0) * ge
+        floor = clamp // _CLAMP_FLOOR_DIV + max(prep.vmax, 0) + 1
+        return _Tier(
+            prep.ext_narrow, prep.qp_narrow, dtype, clamp, tile,
+            max(1, room // floor),
         )
+
+    def _wide_tier(self, prep: _Prepared) -> _Tier:
+        """Exact int64 sweeps, one sequence per lane.
+
+        Wide scores have no bound, so no segment offset is sized to keep
+        a horizontal gap from crossing a pad column.
+        """
+        return _Tier(
+            prep.ext_wide, prep.qp_wide, np.int64, None, self.block_cols, 1
+        )
+
+    def _sweep(
+        self,
+        query: np.ndarray,
+        group: LaneGroup,
+        lanes: list[list[int]],
+        gaps: GapModel,
+        prep: _Prepared,
+        tier: _Tier,
+    ) -> tuple[np.ndarray, np.ndarray, int | None]:
+        """Sweep the packed ``lanes`` of ``group`` in one pass.
+
+        Returns the group lanes swept (lane by lane, in lane order),
+        their best scores and the sweep's clamp.  A packed lane holds
+        its sequences one pad column apart.  The pad column scores like
+        a pad, so its H stays 0 and the next sequence starts as on a
+        fresh zero boundary.  Segment ``k`` of a lane (its pad column
+        included) adds ``k*B`` to both sides of the horizontal-gap scan,
+        so a gap from an earlier segment scores below zero and never
+        crosses a pad column.  ``B = clamp' + vmax + 1`` exceeds every
+        ``h~``; ``s`` segments in a lane of ``w`` columns need
+        ``s*B + w*ge + qo <= info_max`` and so set the sweep's clamp
+        ``clamp'``.  Only narrow sweeps pack (:meth:`_wide_tier`).
+        """
+        seqs = np.array([g for lane in lanes for g in lane], dtype=np.intp)
+        qo, ge = int(gaps.open), int(gaps.extend)
+        pad = self.alphabet.size
+        depth = max(len(lane) for lane in lanes)
+        clamp, offset, starts = tier.clamp, None, None
+        if depth == 1:
+            width = int(group.lengths[seqs].max())
+            codes = np.minimum(group.codes[:width, seqs], pad)
+        else:
+            sizes = group.lengths.tolist()
+            width = max(sum(sizes[g] for g in lane) + len(lane) - 1
+                        for lane in lanes)
+            vmax = max(prep.vmax, 0)
+            room = int(np.iinfo(tier.dtype).max) - qo - width * ge
+            clamp = min(clamp, room // depth - vmax - 1)
+            stride = clamp + vmax + 1
+            codes = np.full((width, len(lanes)), pad, dtype=np.uint8)
+            marks = np.zeros((width, len(lanes)), dtype=tier.dtype)
+            starts = []
+            for p, lane in enumerate(lanes):
+                pos = 0
+                for k, g in enumerate(lane):
+                    n = sizes[g]
+                    codes[pos:pos + n, p] = group.codes[:n, g]
+                    if k:
+                        marks[pos - 1, p] = stride
+                    starts.append(p * width + pos)
+                    pos += n + 1
+            offset = np.cumsum(marks, axis=0, dtype=tier.dtype)
+        got = self._lane_sweep(
+            query, codes, codes < pad, tier.table, tier.qp,
+            qo, int(gaps.first_gap_cost), ge, tier.dtype, clamp,
+            max(1, min(tier.tile or width, width)), offset, starts,
+        )
+        return seqs, got, clamp
 
     def _redo_wide(
         self,
@@ -322,12 +440,15 @@ class VectorizedEngine(_LaneGroupEngine):
         sat: list[int],
         scores: np.ndarray,
     ) -> None:
-        """Recompute saturated lanes at full int64 width, in place."""
-        lanes = np.asarray(sat, dtype=np.intp)
-        scores[lanes] = self._sweep_lanes(
-            query, group, lanes, gaps, prep.ext_wide, prep.qp_wide,
-            np.int64, None, self.block_cols,
+        """Recompute saturated lanes at full int64 width, in place.
+
+        Each saturated sequence gets a lane of its own; its packed
+        neighbours keep their exact narrow scores.
+        """
+        seqs, got, _ = self._sweep(
+            query, group, [[g] for g in sat], gaps, prep, self._wide_tier(prep)
         )
+        scores[seqs] = got
         self.stats.wide_sweeps += 1
         self.stats.redo_groups += 1
         self.stats.redo_lanes += len(sat)
@@ -336,7 +457,8 @@ class VectorizedEngine(_LaneGroupEngine):
     # the kernel
     # ------------------------------------------------------------------
     def _lane_sweep(
-        self, query, codes, mask, table, qp, qo, go, ge, dtype, clamp, width
+        self, query, codes, mask, table, qp, qo, go, ge, dtype, clamp, width,
+        offset=None, starts=None,
     ) -> np.ndarray:
         """Tiled lane sweep; one numpy op chain per query row per tile.
 
@@ -346,6 +468,9 @@ class VectorizedEngine(_LaneGroupEngine):
         Boundary state carried between tiles: the H column left of the
         tile (``col_in``/``col_out``) and the rebased prefix-scan carry,
         making tiling bit-identical to a single full-width pass.
+        Packed lanes (:meth:`_sweep`) fit one tile and pass their segment
+        ``offset`` and flat lane-major segment ``starts``; the sweep then
+        returns each segment's best instead of each lane's.
         """
         m = len(query)
         n_max, L = codes.shape
@@ -381,6 +506,9 @@ class VectorizedEngine(_LaneGroupEngine):
                 .astype(dtype)[:, None],
                 (w, L),
             ).copy()
+            if offset is not None:
+                src_w += offset[u0:u1 - 1]
+                ecost += offset[u0:u1]
             wexit = dtype(w * ge)
             shifts = []
             s = 1
@@ -462,6 +590,8 @@ class VectorizedEngine(_LaneGroupEngine):
             np.maximum(best, colmax.max(axis=0), out=best)
             if multi:
                 col_in, col_out = col_out, col_in
+        if starts is not None:
+            return np.maximum.reduceat(colmax.T.ravel(), starts)
         return best
 
 

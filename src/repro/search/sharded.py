@@ -469,9 +469,12 @@ class ShardedStreamingSearch(_StreamEntrypoints):
                     **common,
                     total_records=total_records,
                     shards_merged=state.shards_merged,
+                    # Only a merged shard writes a checkpoint; before
+                    # the first one there is nothing to resume from.
                     journal_path=(
                         str(self.journal.path)
-                        if self.journal is not None else None
+                        if self.journal is not None and state.shards_merged
+                        else None
                     ),
                 )
             if self.journal is not None:

@@ -76,6 +76,23 @@ class TestStreamFailures:
         assert "Traceback" not in captured.err
         assert "PARTIAL" in captured.out
 
+    def test_deadline_before_first_merge_leaves_no_resume_hint(
+        self, capsys, fasta_path, tmp_path
+    ):
+        # The budget expires before any shard is merged, so no journal
+        # checkpoint exists: nothing to resume from, and no hint to.
+        journal = tmp_path / "stream.journal"
+        code = main([
+            "stream", "--query", QUERY, "--db-fasta", fasta_path,
+            "--workers", "2", "--journal", str(journal),
+            "--deadline", "0.000001",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "deadline expired after 0 sequences" in captured.err
+        assert "resume with" not in captured.err
+        assert not journal.exists()
+
     def test_negative_deadline_rejected(self, capsys, fasta_path):
         code = main([
             "stream", "--query", QUERY, "--db-fasta", fasta_path,

@@ -7,6 +7,10 @@ arithmetic width (int8/int16 with saturating clamps plus full-width
 redo).  Every test here perturbs one of those knobs over a seeded grid
 and demands bit-identical scores against the scalar oracle.
 
+Packed lanes lay several sequences end to end in one lane; they must
+score as if each sequence had a lane of its own
+(:class:`TestPackedLanes`).
+
 The saturation tests force overflow on purpose — a homopolymer whose
 true score exceeds the int8 clamp, and a custom high-valued matrix that
 breaks int16 — and assert both that the redo path actually fired
@@ -23,7 +27,7 @@ import pytest
 from repro.alphabet import PROTEIN
 from repro.core import VectorizedEngine, get_engine
 from repro.core.intertask import build_lane_groups
-from repro.core.vectorized import make_intertask_engine
+from repro.core.vectorized import _pack_lanes, make_intertask_engine
 from repro.exceptions import EngineError
 from repro.scoring import BLOSUM62, GapModel, SubstitutionMatrix
 from tests.conftest import STANDARD_RESIDUES, random_protein
@@ -167,7 +171,9 @@ class TestSaturationRedo:
         batch = engine.score_batch(query, seqs, hot, gaps)
         np.testing.assert_array_equal(batch.scores, ref)
         assert engine.stats.redo_lanes > 0
-        assert 0 in batch.saturated
+        # "ACD" (9000) shares a packed lane with "ACDEFGHIKLMN", whose
+        # sweep's lowered clamp it reaches, so it is redone too.
+        assert batch.saturated == [0, 1]
 
     def test_full_width_never_saturates(self, blosum62, gaps):
         seqs = ["L" * 30, "ARN"]
@@ -282,11 +288,43 @@ def diag5_matrix():
     return SubstitutionMatrix("DIAG5", PROTEIN, data)
 
 
+def reach_case():
+    """(query, target, target's suffix alone) of the reach-257 crossing."""
+    rng = np.random.default_rng(0)
+
+    def draw(letters, k):
+        return "".join(letters[i] for i in rng.integers(0, 10, k))
+
+    prefix, suffix = draw("ARNDCQEGHI", 105), draw("ARNDCQEGHI", 120)
+    filler = draw("LKMFPSTWYV", 257)
+    return prefix + suffix, prefix + filler + suffix, filler + suffix
+
+
+def packed_plan(engine, query, group, matrix, gaps):
+    """The engine's packed sweeps of ``group``, as ``score_group`` plans them."""
+    prep = engine._prepare(PROTEIN.encode(query), matrix)
+    tier = (
+        engine._narrow_tier(prep, gaps.open, gaps.extend)
+        or engine._wide_tier(prep)
+    )
+    return _pack_lanes(group.lengths, tier.tile, tier.segments)
+
+
+def plan_fill(plan, lengths):
+    """Real cells over padded cells of a packed plan."""
+    padded = sum(
+        len(lanes) * max(sum(int(lengths[g]) + 1 for g in lane) - 1
+                         for lane in lanes)
+        for lanes in plan
+    )
+    return int(lengths.sum()) / padded
+
+
 class TestReachAndSpans:
-    """The invariants the gap-reach-bounded scan and length spans rely on.
+    """The invariants the gap-reach-bounded scan and packed sweeps rely on.
 
     The other tests use sequences of at most 70 residues, so they never
-    reach a scan reach of 64 or more, nor a span's worth of padded cells.
+    reach a scan reach of 64 or more, nor a full sweep of padded cells.
     """
 
     @pytest.mark.parametrize("bits", (16, 64))
@@ -298,16 +336,9 @@ class TestReachAndSpans:
         # into the 120-residue suffix scores 601 against 600 for the
         # suffix alone: a scan one shift short, or one that forgets the
         # carried column across tiles, loses the crossing.
-        rng = np.random.default_rng(0)
-
-        def draw(letters, k):
-            return "".join(letters[i] for i in rng.integers(0, 10, k))
-
-        prefix, suffix = draw("ARNDCQEGHI", 105), draw("ARNDCQEGHI", 120)
-        filler = draw("LKMFPSTWYV", 257)
-        query, target = prefix + suffix, prefix + filler + suffix
+        query, target, suffix_only = reach_case()
         matrix, gaps = diag5_matrix(), GapModel(10, 2)
-        ref = scalar_scores(query, [target, filler + suffix], matrix, gaps)
+        ref = scalar_scores(query, [target, suffix_only], matrix, gaps)
         assert list(ref) == [601, 600]
         engine = VectorizedEngine(
             PROTEIN, lanes=1, block_cols=block_cols, saturate_bits=bits
@@ -316,24 +347,31 @@ class TestReachAndSpans:
         assert int(got[0]) == 601
 
     def test_long_tail_group_is_swept_in_spans(self, blosum62, gaps):
+        # A long-tailed group packs at most 3 sequences a lane (BLOSUM62
+        # 10/2 at int16) into 2 sweeps at 81% fill, and stays exact.
         rng = np.random.default_rng(7)
         lengths = np.geomspace(20, 2000, 128).astype(int)
         seqs = [random_protein(rng, int(n)) for n in lengths]
         query = random_protein(rng, 16)
         (group,) = build_lane_groups([PROTEIN.encode(s) for s in seqs], 128)
         engine = VectorizedEngine(PROTEIN)
+        plan = packed_plan(engine, query, group, blosum62, gaps)
+        assert len(plan) == 2
+        assert max(len(lane) for lanes in plan for lane in lanes) == 3
+        assert round(plan_fill(plan, group.lengths), 2) == 0.81
         scores, sat = engine.score_group(
             PROTEIN.encode(query), group, blosum62, gaps
         )
-        assert engine.stats.narrow_sweeps == 3
+        assert engine.stats.narrow_sweeps == 2
         assert sat == []
         ref = scalar_scores(query, seqs, blosum62, gaps)
         np.testing.assert_array_equal(scores, ref[group.indices])
 
     def test_saturation_in_a_later_span_is_redone(self, gaps):
         # W scores 3000 against W; nine of them (27000) pass the int16
-        # clamp.  Only the ~750-residue lane 100, in the second span,
-        # carries them, so only it is redone.
+        # clamp.  Only the ~750-residue sequence 100 carries them.  It
+        # shares a packed lane with shorter neighbours, and only it is
+        # redone: the neighbours keep their exact narrow scores.
         data = BLOSUM62.data.astype(np.int32).copy()
         w = PROTEIN.encode("W")[0]
         data[w, w] = 3000
@@ -348,6 +386,13 @@ class TestReachAndSpans:
         seqs[100] = seqs[100][:300] + "W" * 9 + seqs[100][309:]
         query = "".join(no_w[i] for i in rng.integers(0, 19, 12)) + "W" * 9
         engine = VectorizedEngine(PROTEIN, lanes=128)
+        (group,) = build_lane_groups([PROTEIN.encode(s) for s in seqs], 128)
+        plan = packed_plan(engine, query, group, hot, gaps)
+        (lane,) = [
+            lane for lanes in plan for lane in lanes
+            if 100 in group.indices[lane]
+        ]
+        assert len(lane) > 1
         batch = engine.score_batch(query, seqs, hot, gaps)
         np.testing.assert_array_equal(
             batch.scores, scalar_scores(query, seqs, hot, gaps)
@@ -355,4 +400,135 @@ class TestReachAndSpans:
         assert batch.scores[100] >= 27000
         assert batch.saturated == [100]
         assert engine.stats.redo_lanes == 1
-        assert engine.stats.narrow_sweeps == 3
+        assert engine.stats.narrow_sweeps == 2
+
+
+class TestPackedLanes:
+    """Sequences laid end to end in one lane score as if alone.
+
+    A packed lane holds its sequences one pad column apart: the pad
+    column keeps a diagonal or vertical path from crossing, and the
+    per-segment scan offsets keep a horizontal gap from crossing.
+    """
+
+    def test_neighbours_in_one_lane_do_not_join(self, blosum62, gaps):
+        # A ends with the query's prefix and B starts with its suffix.
+        # The long L opens the lane, A and B follow it in that order, so
+        # only B's pad column lies between the prefix and the suffix.  A
+        # path across it would score about prefix + suffix - 12 for B,
+        # far above either half alone.
+        rng = np.random.default_rng(3)
+
+        def draw(letters, k):
+            return "".join(letters[i] for i in rng.integers(0, len(letters), k))
+
+        prefix, suffix = draw("WCHY", 12), draw("WCHY", 12)
+        filler = "AGSTPDEKNQR"
+        seq_l = draw(filler, 300)
+        seq_a = draw(filler, 48) + prefix
+        seq_b = suffix + draw(filler, 40)
+        query = prefix + suffix
+        seqs = [seq_l, seq_a, seq_b]
+        ref = scalar_scores(query, seqs, blosum62, gaps)
+        assert ref[1] >= 80 and ref[2] >= 80
+        for bits in (16, 64):
+            engine = VectorizedEngine(PROTEIN, saturate_bits=bits)
+            (group,) = build_lane_groups(
+                [PROTEIN.encode(s) for s in seqs], engine.lanes
+            )
+            a, b = (int(np.flatnonzero(group.indices == k)[0]) for k in (1, 2))
+            (lanes,) = packed_plan(engine, query, group, blosum62, gaps)
+            if bits == 16:
+                assert any(
+                    lane[k:k + 2] == [a, b]
+                    for lane in lanes for k in range(len(lane))
+                ), lanes
+            else:
+                assert all(len(lane) == 1 for lane in lanes), lanes
+            scores, sat = engine.score_group(
+                PROTEIN.encode(query), group, blosum62, gaps
+            )
+            assert sat == []
+            np.testing.assert_array_equal(
+                scores, ref[group.indices], err_msg=f"bits={bits}"
+            )
+
+    @pytest.mark.parametrize("block_cols", (None, 64))
+    @pytest.mark.parametrize("profile", ("sequence", "query"))
+    @pytest.mark.parametrize("bits", (16, 64))
+    @pytest.mark.parametrize(
+        "gaps", (GapModel(10, 2), GapModel(3, 0), GapModel(0, 1)),
+        ids=("10-2", "3-0", "0-1"),
+    )
+    def test_packed_groups_match_scalar(
+        self, blosum62, gaps, bits, profile, block_cols
+    ):
+        # At 16 bits 40 short sequences pack several to a lane, and 90
+        # and 150 residues pass a 64-column tile and keep lanes of their
+        # own (tiled path).  At 64 bits every sequence has its own lane.
+        rng = np.random.default_rng(5)
+        lengths = [*rng.integers(1, 60, 40), 90, 150]
+        seqs = [random_protein(rng, int(n)) for n in lengths]
+        query = random_protein(rng, 24)
+        engine = VectorizedEngine(
+            PROTEIN, lanes=64, saturate_bits=bits, profile=profile,
+            block_cols=block_cols,
+        )
+        (group,) = build_lane_groups([PROTEIN.encode(s) for s in seqs], 64)
+        plan = packed_plan(engine, query, group, blosum62, gaps)
+        depth = max(len(lane) for lanes in plan for lane in lanes)
+        assert depth > 1 if bits == 16 else depth == 1
+        got = engine.score_batch(query, seqs, blosum62, gaps).scores
+        np.testing.assert_array_equal(
+            got, scalar_scores(query, seqs, blosum62, gaps)
+        )
+
+    def test_gap_at_reach_inside_a_later_segment(self):
+        # The reach-257 crossing of TestReachAndSpans, with the target
+        # packed behind a longer sequence: its offsets must cancel within
+        # the segment, so the crossing still scores 601.
+        query, target, _ = reach_case()
+        rng = np.random.default_rng(1)
+        opener = "".join("LKMFPSTWYV"[i] for i in rng.integers(0, 10, 600))
+        matrix, gaps = diag5_matrix(), GapModel(10, 2)
+        engine = VectorizedEngine(PROTEIN)
+        (group,) = build_lane_groups(
+            [PROTEIN.encode(s) for s in (opener, target)], engine.lanes
+        )
+        (lanes,) = packed_plan(engine, query, group, matrix, gaps)
+        assert [list(group.indices[lane]) for lane in lanes] == [[0, 1]]
+        scores, _ = engine.score_group(
+            PROTEIN.encode(query), group, matrix, gaps
+        )
+        np.testing.assert_array_equal(
+            scores, scalar_scores(query, [opener, target], matrix, gaps)[
+                group.indices
+            ],
+        )
+        assert int(scores[group.indices == 1][0]) == 601
+
+    def test_wide_scores_keep_a_lane_each(self, gaps):
+        # BLOSUM62 x 10^7 fails the narrow precheck, so the group runs at
+        # full width, where no bound on the scores sizes a pad score or
+        # an offset.  Packed behind A, which reaches 1.1e9 (past 2^30),
+        # B would inherit a nonzero pad column and score about 1.36e8
+        # instead of 1.1e8.
+        matrix = SubstitutionMatrix(
+            "BLOSUM62x1e7", PROTEIN, BLOSUM62.data.astype(np.int64) * 10**7
+        )
+        rng = np.random.default_rng(11)
+        filler = "".join("AGSTPDEKNQR"[i] for i in rng.integers(0, 11, 30))
+        query = "W" * 12
+        seqs = [filler + "W" * 10, "W" + filler[:20]]
+        ref = scalar_scores(query, seqs, matrix, gaps)
+        assert ref[0] > 1 << 30
+        engine = VectorizedEngine(PROTEIN)
+        (group,) = build_lane_groups(
+            [PROTEIN.encode(s) for s in seqs], engine.lanes
+        )
+        (lanes,) = packed_plan(engine, query, group, matrix, gaps)
+        assert all(len(lane) == 1 for lane in lanes), lanes
+        batch = engine.score_batch(query, seqs, matrix, gaps)
+        np.testing.assert_array_equal(batch.scores, ref)
+        assert batch.saturated == []
+        assert engine.stats.narrow_sweeps == 0
