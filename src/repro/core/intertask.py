@@ -30,6 +30,7 @@ sibling, :class:`~repro.core.vectorized.VectorizedEngine`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -153,10 +154,25 @@ class _LaneGroupEngine(AlignmentEngine):
     Subclasses set ``lanes`` and implement ``_prepare`` (the query- and
     matrix-dependent tables every group reuses) and ``score_group``,
     which returns a group's exact per-lane scores together with the
-    lanes it had to redo at full width.
+    lanes it had to redo at full width.  Groups are scored run by run
+    (:meth:`runs`, :meth:`score_run`); by default a run is one group.
     """
 
     lanes: int
+
+    def runs(self, groups: Sequence[LaneGroup]) -> list[range]:
+        """Consecutive groups scored together; here one group per run."""
+        return [range(g, g + 1) for g in range(len(groups))]
+
+    def score_run(
+        self, query: np.ndarray, groups: Sequence[LaneGroup], matrix, gaps,
+        *, _prepared=None,
+    ) -> list[tuple[np.ndarray, list[int]]]:
+        """Per group of a run: exact per-lane scores and redone lanes."""
+        return [
+            self.score_group(query, group, matrix, gaps, _prepared=_prepared)
+            for group in groups
+        ]
 
     def score_batch(
         self,
@@ -165,7 +181,7 @@ class _LaneGroupEngine(AlignmentEngine):
         matrix: SubstitutionMatrix,
         gaps: GapModel,
     ) -> BatchResult:
-        """Score a whole database batch through lane groups.
+        """Score a whole database batch through lane groups, run by run.
 
         ``BatchResult.saturated`` lists the sequences whose lanes were
         redone at full width; their scores are exact like all others.
@@ -180,13 +196,13 @@ class _LaneGroupEngine(AlignmentEngine):
         # The prepared tables depend only on the query and matrix —
         # build them once for the whole batch, not once per lane group.
         prepared = self._prepare(q, matrix) if groups else None
-        for group in groups:
-            g_scores, g_sat = self.score_group(
-                q, group, matrix, gaps, _prepared=prepared
-            )
-            scores[group.indices] = g_scores
-            cells += len(q) * group.cells_per_query_row
-            saturated.extend(int(group.indices[l]) for l in g_sat)
+        for run in self.runs(groups):
+            members = [groups[g] for g in run]
+            got = self.score_run(q, members, matrix, gaps, _prepared=prepared)
+            for group, (g_scores, g_sat) in zip(members, got):
+                scores[group.indices] = g_scores
+                cells += len(q) * group.cells_per_query_row
+                saturated.extend(int(group.indices[l]) for l in g_sat)
         return BatchResult(scores=scores, cells=cells, saturated=sorted(saturated))
 
     def _score_pair_codes(

@@ -12,16 +12,21 @@ row.  No Python loop over database position remains.
 
 The kernel only does real work:
 
-* Each lane group is swept as *packed lanes* (:func:`_pack_lanes`,
-  SWIPE's lane refill): its sequences are laid end to end, one pad
+* Lane groups are swept as *packed lanes* (:func:`_pack_lanes`,
+  SWIPE's lane refill): their sequences are laid end to end, one pad
   column apart, in as few physical lanes as the narrow dtype's offset
   budget allows, and no sweep holds more than ``_SWEEP_CELLS`` padded
   cells.  A pad column scores like a pad, and per-segment offsets in the
   horizontal-gap scan keep a gap from crossing it, so every sequence
   scores as if it had a lane of its own (:meth:`VectorizedEngine._sweep`).
   Full-width sweeps give each sequence a lane of its own: their scores
-  have no bound to size the offsets by.  The lane group stays the unit
-  outside the kernel.
+  have no bound to size the offsets by.
+* Consecutive lane groups whose real residues together fit one sweep
+  form a *run* (:func:`lane_group_runs`) and share one packed plan
+  (:meth:`VectorizedEngine.score_run`), so a database of small groups
+  pays for one sweep per query row, not one per group.  The lane group
+  stays the unit outside the kernel: scores, redone lanes and fault
+  units are still reported per group.
 * Each query row reads one contiguous sequence-profile plane per sweep.
 * The prefix scan stops at the row's *gap reach*: past it, a horizontal
   gap cannot lift ``H`` over its zero floor.
@@ -57,6 +62,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -71,6 +77,7 @@ from .profiles import ProfileKind
 __all__ = [
     "VectorizedEngine",
     "KernelStats",
+    "lane_group_runs",
     "make_intertask_engine",
     "KERNEL_NAMES",
     "DEFAULT_LANES",
@@ -101,24 +108,46 @@ _SWEEP_CELLS = 45056
 _CLAMP_FLOOR_DIV = 4
 
 
-def _pack_lanes(
-    lengths: np.ndarray, tile: int | None, segments: int
-) -> list[list[list[int]]]:
-    """Lay a lane group's sequences end to end in packed lanes.
+def lane_group_runs(residues: Sequence[int]) -> list[range]:
+    """Split consecutive lane groups into runs that share one packed plan.
 
-    Returns the group's sweeps; a sweep is a list of packed lanes, and
-    a packed lane the group lanes laid in it, one pad column apart.
-    Sequences are taken longest first (SWIPE's lane refill, planned up
-    front): the first ``ceil(n / segments)`` open a lane each, and every
-    later one joins the shortest lane that still has room for it within
-    one column tile and the ``_SWEEP_CELLS`` cap and holds fewer than
-    ``segments`` sequences, or else opens a lane.  A sequence longer
+    ``residues`` holds each group's real residues.  A run takes
+    consecutive groups while their residues together fit one sweep
+    (``_SWEEP_CELLS``); a group that fills a sweep by itself is a run
+    of one.  Runs depend on nothing else, so every scan that forms
+    them over the same groups sweeps the same plans.
+    """
+    runs: list[range] = []
+    start = total = 0
+    for g, n in enumerate(residues):
+        if g > start and total + n > _SWEEP_CELLS:
+            runs.append(range(start, g))
+            start, total = g, 0
+        total += int(n)
+    if len(residues):
+        runs.append(range(start, len(residues)))
+    return runs
+
+
+def _pack_lanes(
+    lengths: Sequence[int] | np.ndarray, tile: int | None, segments: int
+) -> list[list[list[int]]]:
+    """Lay a run's sequences end to end in packed lanes.
+
+    Returns the run's sweeps; a sweep is a list of packed lanes, and a
+    packed lane the sequences (indices into ``lengths``) laid in it,
+    one pad column apart.  Sequences are taken longest first (SWIPE's
+    lane refill, planned up front): the first ``ceil(n / segments)``
+    open a lane each, and every later one joins the shortest lane that
+    still has room for it within one column tile and the
+    ``_SWEEP_CELLS`` cap and holds fewer than ``segments`` sequences,
+    or else opens a lane.  A sequence longer
     than the tile keeps a lane to itself (the tiled path).  Lanes are
     then swept longest first, each sweep trimmed to its first lane and
     holding at most ``_SWEEP_CELLS`` padded cells; a multi-tile lane
     never shares a sweep with a packed one.
     """
-    sizes = lengths.tolist()
+    sizes = np.asarray(lengths).tolist()
     # Longest first; an empty lane scores 0 without a sweep.
     order = sorted(
         (g for g in range(len(sizes)) if sizes[g]), key=lambda g: -sizes[g]
@@ -165,10 +194,10 @@ class KernelStats:
     """Counters for the two-tier width strategy (engine-local).
 
     ``narrow_sweeps`` and ``wide_sweeps`` count kernel sweeps: one per
-    packed sweep of a lane group at that width (:func:`_pack_lanes`),
-    plus one wide sweep per redo.  ``redo_lanes`` is the counter the
-    overflow tests assert on: it only moves when a saturated sequence
-    was actually redone at full width.
+    packed sweep of a run at that width (:func:`_pack_lanes`), plus one
+    wide sweep per redo.  ``redo_groups`` counts runs with a redo.
+    ``redo_lanes`` is the counter the overflow tests assert on: it only
+    moves when a saturated sequence was actually redone at full width.
     """
 
     narrow_sweeps: int = 0
@@ -254,6 +283,65 @@ class VectorizedEngine(_LaneGroupEngine):
         self.saturate_bits = 16 if saturate_bits is None else saturate_bits
         self.stats = KernelStats()
 
+    def runs(self, groups: Sequence[LaneGroup]) -> list[range]:
+        """Consecutive groups sharing one packed plan (:func:`lane_group_runs`)."""
+        return lane_group_runs([g.cells_per_query_row for g in groups])
+
+    def score_run(
+        self,
+        query: np.ndarray,
+        groups: Sequence[LaneGroup],
+        matrix: SubstitutionMatrix,
+        gaps: GapModel,
+        *,
+        _prepared: _Prepared | None = None,
+    ) -> list[tuple[np.ndarray, list[int]]]:
+        """Score a run of lane groups with one packed plan.
+
+        Returns, per group, its exact per-lane scores and its redone
+        lanes.  The run's sequences are swept as packed lanes
+        (:func:`_pack_lanes`) at the narrow width; sequences whose best
+        reached their sweep's clamp are redone at full width
+        (:meth:`_redo_wide`) and reported under their group, so callers
+        can account for them (``saturated_recomputed``).  When the
+        narrow tier cannot represent the matrix or gap model the run is
+        swept at full width, one sequence per lane, and nothing is
+        redone.
+        """
+        prep = _prepared if _prepared is not None else self._prepare(query, matrix)
+        tier = self._narrow_tier(prep, int(gaps.open), int(gaps.extend))
+        narrow = tier is not None
+        if not narrow:
+            tier = self._wide_tier(prep)
+        columns = [grp.codes[:, k] for grp in groups for k in range(grp.lanes)]
+        sizes = np.concatenate([grp.lengths for grp in groups]).tolist()
+        best = np.zeros(len(sizes), dtype=np.int64)
+        sat: list[int] = []
+        sweeps = _pack_lanes(sizes, tier.tile, tier.segments)
+        for lanes in sweeps:
+            seqs, got, clamp = self._sweep(
+                query, columns, sizes, lanes, gaps, prep, tier
+            )
+            best[seqs] = got
+            if narrow:
+                sat.extend(seqs[got >= clamp].tolist())
+        if narrow:
+            self.stats.narrow_sweeps += len(sweeps)
+        else:
+            self.stats.wide_sweeps += len(sweeps)
+        sat.sort()
+        if sat:
+            self._redo_wide(query, columns, sizes, gaps, prep, sat, best)
+        out = []
+        start = 0
+        for grp in groups:
+            stop = start + grp.lanes
+            out.append(
+                (best[start:stop], [s - start for s in sat if start <= s < stop])
+            )
+            start = stop
+        return out
+
     def score_group(
         self,
         query: np.ndarray,
@@ -263,37 +351,8 @@ class VectorizedEngine(_LaneGroupEngine):
         *,
         _prepared: _Prepared | None = None,
     ) -> tuple[np.ndarray, list[int]]:
-        """Score one lane group; returns exact per-lane scores and redone lanes.
-
-        The group is swept as packed lanes (:func:`_pack_lanes`) at the
-        narrow width; sequences whose best reached their sweep's clamp
-        are redone at full width (:meth:`_redo_wide`) and returned as the
-        second element, so callers can account for them
-        (``saturated_recomputed``).  When the narrow tier cannot
-        represent the matrix or gap model the group is swept at full
-        width, one sequence per lane, and nothing is redone.
-        """
-        prep = _prepared if _prepared is not None else self._prepare(query, matrix)
-        tier = self._narrow_tier(prep, int(gaps.open), int(gaps.extend))
-        narrow = tier is not None
-        if not narrow:
-            tier = self._wide_tier(prep)
-        best = np.zeros(group.lanes, dtype=np.int64)
-        sat: list[int] = []
-        sweeps = _pack_lanes(group.lengths, tier.tile, tier.segments)
-        for lanes in sweeps:
-            seqs, got, clamp = self._sweep(query, group, lanes, gaps, prep, tier)
-            best[seqs] = got
-            if narrow:
-                sat.extend(seqs[got >= clamp].tolist())
-        if not narrow:
-            self.stats.wide_sweeps += len(sweeps)
-            return best, []
-        self.stats.narrow_sweeps += len(sweeps)
-        sat.sort()
-        if sat:
-            self._redo_wide(query, group, gaps, prep, sat, best)
-        return best, sat
+        """Score one lane group as a run of its own (:meth:`score_run`)."""
+        return self.score_run(query, [group], matrix, gaps, _prepared=_prepared)[0]
 
     def _prepare(self, query: np.ndarray, matrix: SubstitutionMatrix) -> _Prepared:
         """Batch-invariant tables: wide + (if representable) narrow."""
@@ -375,19 +434,21 @@ class VectorizedEngine(_LaneGroupEngine):
     def _sweep(
         self,
         query: np.ndarray,
-        group: LaneGroup,
+        columns: list[np.ndarray],
+        sizes: list[int],
         lanes: list[list[int]],
         gaps: GapModel,
         prep: _Prepared,
         tier: _Tier,
     ) -> tuple[np.ndarray, np.ndarray, int | None]:
-        """Sweep the packed ``lanes`` of ``group`` in one pass.
+        """Sweep the packed ``lanes`` of a run in one pass.
 
-        Returns the group lanes swept (lane by lane, in lane order),
-        their best scores and the sweep's clamp.  A packed lane holds
-        its sequences one pad column apart.  The pad column scores like
-        a pad, so its H stays 0 and the next sequence starts as on a
-        fresh zero boundary.  Segment ``k`` of a lane (its pad column
+        ``columns[k]`` holds sequence ``k``'s codes and ``sizes[k]`` its
+        length.  Returns the sequences swept (lane by lane, in lane
+        order), their best scores and the sweep's clamp.  A packed lane
+        holds its sequences one pad column apart.  The pad column scores
+        like a pad, so its H stays 0 and the next sequence starts as on
+        a fresh zero boundary.  Segment ``k`` of a lane (its pad column
         included) adds ``k*B`` to both sides of the horizontal-gap scan,
         so a gap from an earlier segment scores below zero and never
         crosses a pad column.  ``B = clamp' + vmax + 1`` exceeds every
@@ -399,31 +460,30 @@ class VectorizedEngine(_LaneGroupEngine):
         qo, ge = int(gaps.open), int(gaps.extend)
         pad = self.alphabet.size
         depth = max(len(lane) for lane in lanes)
+        width = max(
+            sum(sizes[g] for g in lane) + len(lane) - 1 for lane in lanes
+        )
         clamp, offset, starts = tier.clamp, None, None
+        codes = np.full((width, len(lanes)), pad, dtype=np.uint8)
         if depth == 1:
-            width = int(group.lengths[seqs].max())
-            codes = np.minimum(group.codes[:width, seqs], pad)
+            for p, (g,) in enumerate(lanes):
+                codes[:sizes[g], p] = columns[g][:sizes[g]]
         else:
-            sizes = group.lengths.tolist()
-            width = max(sum(sizes[g] for g in lane) + len(lane) - 1
-                        for lane in lanes)
             vmax = max(prep.vmax, 0)
             room = int(np.iinfo(tier.dtype).max) - qo - width * ge
             clamp = min(clamp, room // depth - vmax - 1)
             stride = clamp + vmax + 1
-            codes = np.full((width, len(lanes)), pad, dtype=np.uint8)
-            marks = np.zeros((width, len(lanes)), dtype=tier.dtype)
+            offset = np.zeros((width, len(lanes)), dtype=tier.dtype)
             starts = []
             for p, lane in enumerate(lanes):
                 pos = 0
                 for k, g in enumerate(lane):
                     n = sizes[g]
-                    codes[pos:pos + n, p] = group.codes[:n, g]
+                    codes[pos:pos + n, p] = columns[g][:n]
                     if k:
-                        marks[pos - 1, p] = stride
+                        offset[pos - 1:, p] += stride
                     starts.append(p * width + pos)
                     pos += n + 1
-            offset = np.cumsum(marks, axis=0, dtype=tier.dtype)
         got = self._lane_sweep(
             query, codes, codes < pad, tier.table, tier.qp,
             qo, int(gaps.first_gap_cost), ge, tier.dtype, clamp,
@@ -434,19 +494,21 @@ class VectorizedEngine(_LaneGroupEngine):
     def _redo_wide(
         self,
         query: np.ndarray,
-        group: LaneGroup,
+        columns: list[np.ndarray],
+        sizes: list[int],
         gaps: GapModel,
         prep: _Prepared,
         sat: list[int],
         scores: np.ndarray,
     ) -> None:
-        """Recompute saturated lanes at full int64 width, in place.
+        """Recompute saturated sequences at full int64 width, in place.
 
         Each saturated sequence gets a lane of its own; its packed
         neighbours keep their exact narrow scores.
         """
         seqs, got, _ = self._sweep(
-            query, group, [[g] for g in sat], gaps, prep, self._wide_tier(prep)
+            query, columns, sizes, [[g] for g in sat], gaps, prep,
+            self._wide_tier(prep),
         )
         scores[seqs] = got
         self.stats.wide_sweeps += 1
@@ -476,11 +538,12 @@ class VectorizedEngine(_LaneGroupEngine):
         n_max, L = codes.shape
         # ``np.take`` lays each residue's SP plane out contiguously;
         # ``table[:, codes]`` would stride every plane by the table rows.
-        sp = (
-            np.take(table, codes, axis=1)
-            if self.profile is ProfileKind.SEQUENCE else None
-        )
-        qidx = query.astype(np.intp)
+        # Only the query's own residues get a plane: the planes are the
+        # sweep's largest temporary, and a short query uses few letters.
+        sp = None
+        if self.profile is ProfileKind.SEQUENCE:
+            letters, rows = np.unique(query, return_inverse=True)
+            sp = np.take(table[letters], codes, axis=1)
         best = np.zeros(L, dtype=dtype)
         multi = width < n_max
         if multi:
@@ -532,7 +595,7 @@ class VectorizedEngine(_LaneGroupEngine):
             reach = w  # ge == 0 bounds nothing: full scan
 
             for i in range(m):
-                v = sp[qidx[i], u0:u1] if sp is not None else qp[i][codes_t]
+                v = sp[rows[i], u0:u1] if sp is not None else qp[i][codes_t]
                 hp, hn = ha, hb
                 # f = max(H_up - go, f_prev - ge, 0)  — zero-floored F
                 np.subtract(fp, ge, out=fp)

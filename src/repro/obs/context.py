@@ -45,8 +45,7 @@ __all__ = [
     "adopt_spans",
 ]
 
-#: HTTP header carrying the trace context; WSGI spells it
-#: ``HTTP_X_REPRO_TRACE`` in the environ.
+#: HTTP header carrying the trace context.
 TRACE_HEADER = "X-Repro-Trace"
 
 

@@ -48,6 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..core.vectorized import lane_group_runs
 from ..db.preprocess import PreprocessedDatabase
 from ..exceptions import DeadlineExceeded, ParallelError
 from ..faults.policy import Deadline
@@ -109,7 +110,8 @@ class ProcessPoolBackend:
     workers:
         Pool size (real OS processes).
     chunk_size:
-        Lane groups per task; ``None`` picks
+        Lane groups per task, rounded up to whole runs (see
+        :meth:`group_chunks`); ``None`` picks
         :func:`default_chunk_size`.  The merge is chunking-invariant.
     broadcast:
         ``"shm"`` — shared-memory views, zero copies per worker;
@@ -404,12 +406,27 @@ class ProcessPoolBackend:
         return self._require_db().n_groups
 
     def group_chunks(self, chunk_size: int | None = None) -> list[tuple[int, ...]]:
-        """Deterministic chunking of the group ids into task-sized runs."""
+        """Deterministic chunking of the group ids into tasks.
+
+        A task takes whole runs (:func:`~repro.core.vectorized.lane_group_runs`)
+        until it holds at least ``chunk_size`` groups, so no run is ever
+        split and a pooled scan sweeps the serial scan's plans.
+        """
+        packed = self._require_db()
         size = chunk_size or self.chunk_size or default_chunk_size(
             self.n_groups, self.workers
         )
-        ids = range(self.n_groups)
-        return [tuple(ids[k:k + size]) for k in range(0, self.n_groups, size)]
+        residues = np.add.reduceat(packed.lengths, packed.lane_offsets[:-1])
+        chunks: list[tuple[int, ...]] = []
+        chunk: list[int] = []
+        for run in lane_group_runs(residues.tolist()):
+            chunk.extend(run)
+            if len(chunk) >= size:
+                chunks.append(tuple(chunk))
+                chunk = []
+        if chunk:
+            chunks.append(tuple(chunk))
+        return chunks
 
     def _submit_one(self, task: ChunkTask):
         """Submit one task, healing the pool if submission finds it dead."""

@@ -9,10 +9,10 @@ configuration, the chunk's group ids — which is tiny next to the
 database payload.
 
 The scoring code path is deliberately the same one the serial pipeline
-runs: the engine's ``score_group`` per lane group (which redoes any
-saturated lanes exactly), and the checksum guard
-(:func:`repro.search.scan.guarded_transmit`) when a fault plan is
-active.  Fault decisions are a pure function of
+runs: :func:`repro.search.scan.score_lane_groups`, which sweeps the
+lane groups run by run (redoing any saturated lanes exactly) and ships
+each group through the checksum guard when a fault plan is active.
+Fault decisions are a pure function of
 ``(plan.seed, unit, attempt)`` with ``unit`` being the *global* group
 index, so a fault fires (or not) identically whichever worker — or the
 serial pipeline itself — executes the group.
@@ -174,53 +174,7 @@ def ping() -> int:
     return _STATE["pid"]
 
 
-def _score_groups(task: ChunkTask, groups, units, engine):
-    """Score lane groups exactly like the serial pipeline's group loop.
-
-    ``groups`` is a list of :class:`LaneGroup`; ``units`` the matching
-    fault-injection unit ids.  Returns ``(positions, scores, saturated,
-    redone, cells)`` with ``positions`` being each lane's
-    ``group.indices`` entry (caller-defined coordinate space).
-    """
-    from ..search.scan import guarded_transmit
-
-    q = task.query
-    prepared = engine._prepare(q, task.matrix)
-    injector = FaultInjector(task.plan) if task.plan is not None else None
-    positions: list[np.ndarray] = []
-    scores: list[np.ndarray] = []
-    saturated = redone = cells = 0
-
-    for group, unit in zip(groups, units):
-        # Saturation count is per *group*, not per compute call: a
-        # corruption redo recomputes the same lanes, matching the serial
-        # pipeline's assignment (not accumulation) semantics.
-        sat_holder = [0]
-
-        def compute(group=group, sat_holder=sat_holder) -> np.ndarray:
-            g_scores, sat = engine.score_group(
-                q, group, task.matrix, task.gaps, _prepared=prepared
-            )
-            sat_holder[0] = len(sat)
-            return g_scores
-
-        g_scores, redos = guarded_transmit(injector, unit, compute)
-        redone += redos
-        saturated += sat_holder[0]
-        positions.append(np.asarray(group.indices, dtype=np.int64))
-        scores.append(np.asarray(g_scores, dtype=np.int64))
-        cells += len(q) * int(group.lengths.sum())
-
-    if positions:
-        return (
-            np.concatenate(positions), np.concatenate(scores),
-            saturated, redone, cells,
-        )
-    empty = np.zeros(0, dtype=np.int64)
-    return empty, empty.copy(), saturated, redone, cells
-
-
-def _score_stream(task: ChunkTask, engine: InterTaskEngine):
+def _score_stream(task: ChunkTask, engine: InterTaskEngine, injector):
     """Score one streaming chunk exactly like the serial streamed scan.
 
     Both run :func:`repro.search.scan.score_stream_chunk`, with the
@@ -231,7 +185,6 @@ def _score_stream(task: ChunkTask, engine: InterTaskEngine):
     from ..search.scan import score_stream_chunk
 
     seqs = [np.asarray(s, dtype=np.uint8) for s in task.seqs]
-    injector = FaultInjector(task.plan) if task.plan is not None else None
     scores, batch, redone = score_stream_chunk(
         engine, task.query, seqs, task.matrix, task.gaps,
         injector, task.fault_unit_base,
@@ -268,21 +221,24 @@ def run_chunk(
             f"worker has no database broadcast (required by "
             f"kind={task.kind!r} tasks)"
         )
+    from ..search.scan import score_lane_groups
+
     alphabet = task.matrix.alphabet
     key = (task.engine, alphabet.letters)  # engines cached per config
     if key not in engines:
         engines[key] = task.engine.build(alphabet)
     engine = engines[key]
+    injector = FaultInjector(task.plan) if task.plan is not None else None
 
     if task.kind == "stream":
         positions, scores, saturated, redone, cells = _score_stream(
-            task, engine
+            task, engine, injector
         )
     elif task.kind == "groups":
         groups = [db.group(g) for g in task.group_ids]
-        units = list(task.group_ids)
-        positions, scores, saturated, redone, cells = _score_groups(
-            task, groups, units, engine
+        positions, scores, saturated, redone, cells = score_lane_groups(
+            engine, task.query, groups, task.matrix, task.gaps,
+            units=list(task.group_ids), injector=injector,
         )
     elif task.kind == "subset":
         seqs = [db.sequence(p) for p in task.positions]
@@ -297,9 +253,10 @@ def run_chunk(
                 lengths=grp.lengths,
                 indices=pos[grp.indices],
             ))
-        units = [task.fault_unit_base + g for g in range(len(groups))]
-        positions, scores, saturated, redone, cells = _score_groups(
-            task, groups, units, engine
+        positions, scores, saturated, redone, cells = score_lane_groups(
+            engine, task.query, groups, task.matrix, task.gaps,
+            units=[task.fault_unit_base + g for g in range(len(groups))],
+            injector=injector,
         )
     else:
         raise ParallelError(f"unknown chunk kind {task.kind!r}")

@@ -84,6 +84,7 @@ class ScanState:
     cells: int = 0
     chunks: int = 0
     corrupted_redone: int = 0
+    saturated_recomputed: int = 0
     #: Chained :func:`chain_record_digest` over the merged prefix —
     #: lets ``resume`` verify it was handed the *same* stream.
     prefix_digest: str = ""
@@ -199,6 +200,7 @@ class ScanJournal:
             "cells": state.cells,
             "chunks": state.chunks,
             "corrupted_redone": state.corrupted_redone,
+            "saturated_recomputed": state.saturated_recomputed,
             "prefix_digest": state.prefix_digest,
             "heap": state.heap,
         }
@@ -232,6 +234,10 @@ class ScanJournal:
                 cells=int(payload["cells"]),
                 chunks=int(payload["chunks"]),
                 corrupted_redone=int(payload["corrupted_redone"]),
+                # Journals written before this count existed lack it.
+                saturated_recomputed=int(
+                    payload.get("saturated_recomputed", 0)
+                ),
                 prefix_digest=str(payload["prefix_digest"]),
                 heap=list(payload["heap"]),
             )

@@ -25,7 +25,7 @@ from ..obs.tracer import get_tracer
 from .api import SearchOptions, unify_options
 from .gcups import Stopwatch
 from .result import SearchResult
-from .scan import ScanContext, guarded_transmit, rank_hits
+from .scan import ScanContext, rank_hits, score_lane_groups
 
 __all__ = ["SearchPipeline"]
 
@@ -58,9 +58,10 @@ class SearchPipeline:
 
     With a fault injector set, per-group score payloads are shipped
     through it with a checksum guard: a corrupted group is detected and
-    recomputed, so the returned scores always match the fault-free run
-    exactly — under either executor, because fault decisions are keyed
-    on the global group id, not the worker that runs it.
+    its run recomputed, so the returned scores always match the
+    fault-free run exactly — under either executor, because fault
+    decisions are keyed on the global group id, not the worker that
+    runs it.
     """
 
     def __init__(
@@ -225,7 +226,7 @@ class SearchPipeline:
         matrices.  ``top_k=None`` falls back to the pipeline's
         :attr:`SearchOptions.top_k`.  An expired ``deadline`` raises
         :class:`~repro.exceptions.DeadlineExceeded` before the next
-        lane group is scored.
+        run of lane groups is scored.
 
         ``preprocessed`` reuses an existing sort/lane-pack of this exact
         ``database`` at this pipeline's lane width (from
@@ -291,23 +292,9 @@ class SearchPipeline:
                         )
                 groups = pre.groups
                 # Step 3: score every lane group (the paper's OpenMP
-                # group loop, here a plain loop in group order).
+                # group loop, here the shared guarded loop in group
+                # order, run by run).
                 sorted_scores = np.zeros(len(pre.database), dtype=np.int64)
-                sat_counts: dict[int, int] = {}
-                corrupted_redone = 0
-                prepared = self.engine._prepare(q, self.matrix)
-
-                def compute_group(g: int) -> np.ndarray:
-                    # The engine redoes saturated lanes exactly; the
-                    # count is assigned, not added, so a corruption
-                    # redo of the group does not count them twice.
-                    scores, sat = self.engine.score_group(
-                        q, groups[g], self.matrix, self.gaps,
-                        _prepared=prepared,
-                    )
-                    sat_counts[g] = len(sat)
-                    return scores
-
                 with tracer.span("pipeline.score") as sp:
                     par = (
                         self._score_parallel(
@@ -329,15 +316,12 @@ class SearchPipeline:
                                 corrupted_redone=corrupted_redone,
                             )
                     else:
-                        for g in range(len(groups)):
-                            if deadline is not None:
-                                deadline.check(f"group {g}")
-                            group_scores, redos = guarded_transmit(
-                                self.injector, g, lambda: compute_group(g)
-                            )
-                            corrupted_redone += redos
-                            sorted_scores[groups[g].indices] = group_scores
-                        sat_total = sum(sat_counts.values())
+                        (positions, group_scores, sat_total,
+                         corrupted_redone, _) = score_lane_groups(
+                            self.engine, q, groups, self.matrix, self.gaps,
+                            injector=self.injector, deadline=deadline,
+                        )
+                        sorted_scores[positions] = group_scores
                         if sp:
                             sp.set_attributes(
                                 groups=len(groups),

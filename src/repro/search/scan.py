@@ -9,9 +9,11 @@ rank the best.  This module is the single implementation of each piece:
   once into matrix, gaps, alphabet, kernel, lanes and the picklable
   :class:`~repro.parallel.worker.EngineConfig` the engine (serial or
   pooled) is built from, so the two can never drift apart;
-* :func:`guarded_transmit` and :func:`score_stream_chunk` — one lane
-  group or one streamed chunk shipped through the fault-injection
-  checksum guard identically in the serial loops and in pool workers;
+* :func:`guarded_transmit` — one lane group or one streamed chunk
+  shipped through the fault-injection checksum guard;
+* :func:`score_lane_groups` and :func:`score_stream_chunk` — the one
+  guarded group loop (resident groups, run by run) and the one streamed
+  chunk scorer, run identically by the serial loops and pool workers;
 * :class:`TopK` — the bounded top-k merger of the streaming drivers;
 * :func:`merge_by_header` and :func:`rank_hits` — per-part scores
   scattered back to database order, and the stable descending ranking
@@ -31,6 +33,7 @@ from ..core.types import BatchResult
 from ..core.vectorized import DEFAULT_LANES
 from ..exceptions import FaultInjected, PipelineError
 from ..faults.injection import FaultInjector, payload_checksum
+from ..faults.policy import Deadline
 from ..obs.tracer import get_tracer
 from ..parallel.worker import EngineConfig
 from ..scoring.gaps import GapModel
@@ -45,6 +48,7 @@ __all__ = [
     "guarded_transmit",
     "merge_by_header",
     "rank_hits",
+    "score_lane_groups",
     "score_stream_chunk",
 ]
 
@@ -122,6 +126,63 @@ def guarded_transmit(
         )
         received, declared = injector.transmit(unit, attempt, compute())
     return received, attempt
+
+
+def score_lane_groups(
+    engine, query: np.ndarray, groups: list, matrix: SubstitutionMatrix,
+    gaps: GapModel, *, units: list[int] | None = None,
+    injector: FaultInjector | None = None, deadline: Deadline | None = None,
+) -> tuple[np.ndarray, np.ndarray, int, int, int]:
+    """Score lane groups run by run: the one guarded group loop.
+
+    The engine forms the runs (:meth:`runs`) and sweeps each with one
+    plan (:meth:`score_run`).  Each group's scores then pass
+    :func:`guarded_transmit` under its own fault unit (``units[k]``,
+    default ``k``), in group order; a corruption redo recomputes the
+    group's whole run, so a group's plan never depends on a fault.  An
+    expired ``deadline`` raises before the next run.  Returns
+    ``(positions, scores, saturated, redone, cells)``: each lane's
+    ``group.indices`` entry and its exact score, the lanes redone at
+    full width, the corruption redos and the cells scored.
+    """
+    prepared = engine._prepare(query, matrix)
+    positions: list[np.ndarray] = []
+    scores: list[np.ndarray] = []
+    saturated = redone = cells = 0
+    for run in engine.runs(groups):
+        if deadline is not None:
+            deadline.check(f"group {run[0]}")
+        members = [groups[g] for g in run]
+        swept = engine.score_run(
+            query, members, matrix, gaps, _prepared=prepared
+        )
+        for k, g in enumerate(run):
+            swept_k, sat = [swept[k]], [0]
+
+            def compute(k=k, swept_k=swept_k, sat=sat, members=members):
+                # The first call takes the run's sweep; a redo sweeps the
+                # whole run again.  The saturation count is assigned,
+                # not added, so a redo does not count it twice.
+                got = swept_k.pop() if swept_k else engine.score_run(
+                    query, members, matrix, gaps, _prepared=prepared
+                )[k]
+                sat[0] = len(got[1])
+                return got[0]
+
+            unit = g if units is None else units[g]
+            g_scores, redos = guarded_transmit(injector, unit, compute)
+            redone += redos
+            saturated += sat[0]
+            positions.append(np.asarray(groups[g].indices, dtype=np.int64))
+            scores.append(np.asarray(g_scores, dtype=np.int64))
+            cells += len(query) * groups[g].cells_per_query_row
+    if not positions:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty.copy(), saturated, redone, cells
+    return (
+        np.concatenate(positions), np.concatenate(scores),
+        saturated, redone, cells,
+    )
 
 
 def score_stream_chunk(

@@ -265,7 +265,7 @@ class ShardedStreamingSearch(_StreamEntrypoints):
                 )
         self.metrics.observe("streaming.shard.score.seconds", watch.seconds)
 
-        scanned = cells = redone = 0
+        scanned = cells = redone = saturated = 0
         merge_watch = Stopwatch()
         with tracer.span("shard.merge") as sp, merge_watch:
             if sp:
@@ -275,6 +275,7 @@ class ShardedStreamingSearch(_StreamEntrypoints):
             for res in results:
                 cells += res.cells
                 redone += res.redone
+                saturated += res.saturated
                 scanned += len(res.positions)
                 scores[res.positions - shard.base_index] = res.scores
             topk.offer(
@@ -283,7 +284,7 @@ class ShardedStreamingSearch(_StreamEntrypoints):
         self.metrics.observe(
             "streaming.shard.merge.seconds", merge_watch.seconds
         )
-        return scanned, cells, redone
+        return scanned, cells, redone, saturated
 
     def _load_state(self, fingerprint: str | None, resume: bool) -> ScanState:
         """The resume snapshot when ``resume`` and matching, else fresh."""
@@ -318,8 +319,9 @@ class ShardedStreamingSearch(_StreamEntrypoints):
         or ``(header, sequence)`` pairs (sequences as residue letters or
         encoded arrays).  Hits, tie order and ``corrupted_redone`` are
         bit-identical to :class:`~repro.search.StreamingSearch` over the
-        same stream — including when the pool healed worker deaths
-        mid-scan, and including a resumed scan continuing a journal.
+        same stream, and so is ``saturated_recomputed`` — including
+        when the pool healed worker deaths mid-scan, and including a
+        resumed scan continuing a journal.
         When ``deadline`` expires a :class:`~repro.search.PartialResult`
         is returned instead (``total_records``, when known, gives it a
         completion fraction).  ``_resume`` turns resume on for this call
@@ -390,12 +392,13 @@ class ShardedStreamingSearch(_StreamEntrypoints):
                 )
 
             def fold(done_shard, futures, n_tasks):
-                s, c, r = self._merge(
+                s, c, r, sat = self._merge(
                     backend, done_shard, futures, topk, tracer, deadline
                 )
                 state.scanned += s
                 state.cells += c
                 state.corrupted_redone += r
+                state.saturated_recomputed += sat
                 state.chunks += n_tasks
                 state.records_done += done_shard.n_records
                 state.shards_merged += 1
@@ -457,6 +460,7 @@ class ShardedStreamingSearch(_StreamEntrypoints):
                 wall_seconds=watch.seconds,
                 corrupted_redone=state.corrupted_redone,
                 database_name=database_name,
+                saturated_recomputed=state.saturated_recomputed,
             )
             if expired:
                 self.metrics.increment("deadline.partial")

@@ -42,6 +42,9 @@ class StreamingResult:
     wall_seconds: float
     corrupted_redone: int = 0  # chunks recomputed after a checksum mismatch
     database_name: str = "<stream>"
+    #: Sequences the numpy kernel redid at full width (see
+    #: :attr:`~repro.search.SearchResult.saturated_recomputed`).
+    saturated_recomputed: int = 0
 
     @property
     def wall_gcups(self) -> float:
@@ -321,7 +324,7 @@ class StreamingSearch(_StreamEntrypoints):
                 )
         q = as_codes(query, ctx.alphabet)
         topk = TopK(top_k)
-        scanned = cells = chunks = corrupted_redone = 0
+        scanned = cells = chunks = corrupted_redone = saturated = 0
         watch = Stopwatch()
         tracer = get_tracer()
 
@@ -367,6 +370,7 @@ class StreamingSearch(_StreamEntrypoints):
                             )
                             cells += batch.cells
                             corrupted_redone += redos
+                            saturated += len(batch.saturated)
                         else:
                             stats.candidates += len(seqs)
                             stats.exhaustive_cells += len(q) * sum(
@@ -402,6 +406,7 @@ class StreamingSearch(_StreamEntrypoints):
                 wall_seconds=watch.seconds,
                 corrupted_redone=corrupted_redone,
                 database_name=database_name,
+                saturated_recomputed=saturated,
             )
             if expired:
                 self.metrics.increment("deadline.partial")

@@ -9,7 +9,7 @@ only.  Three pieces:
     round-trips for options/requests/hits/outcomes, the error
     taxonomy's name+status encoding).
 :class:`SearchServer`
-    A threading WSGI server wrapping one
+    A threading HTTP/1.1 keep-alive server wrapping one
     :class:`~repro.service.SearchService` + database behind
     ``/v1/submit``, ``/v1/batch``, ``/v1/stream`` (paginated hits),
     ``/v1/healthz`` and ``/v1/metrics``, with in-flight admission

@@ -15,6 +15,11 @@ to ``SearchClient`` without changes::
     service = SearchClient(url, options=options)     # remote, same calls
     batch = service.run(requests)
 
+Each thread talks over one kept-alive ``http.client`` connection.  If
+the server closed it while it sat idle (its idle timeout, a restart),
+the request is resent once on a fresh connection before anything
+counts as a failure.
+
 Transient failures are handled with the fault-policy substrate from
 :mod:`repro.faults`: a :class:`~repro.faults.RetryPolicy` drives capped
 exponential backoff (wall-clock sleeps here — the client lives in real
@@ -28,12 +33,14 @@ keeps failing.  Everything is instrumented through
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+import weakref
 from dataclasses import replace
 from typing import Any, Iterator, Mapping, Sequence
+from urllib.parse import urlsplit
 
 from ..db.database import SequenceDatabase
 from ..exceptions import PipelineError, ReproError, WireError
@@ -76,7 +83,8 @@ class SearchClient:
         :class:`~repro.exceptions.CircuitOpen` instead of waiting on a
         dead server.  ``None`` disables the breaker.
     timeout:
-        Per-HTTP-request socket timeout in seconds.
+        Socket timeout in seconds for connecting and for each wait on
+        the server.
     page_size:
         Default hits-per-page for :meth:`stream`.
     metrics:
@@ -99,6 +107,18 @@ class SearchClient:
                 f"page_size must be positive, got {page_size}"
             )
         self.url = url.rstrip("/")
+        parts = urlsplit(self.url)
+        if parts.scheme not in ("http", "https") or not parts.netloc:
+            raise PipelineError(
+                f"server URL must be http(s)://host:port, got {url!r}"
+            )
+        self._connect = (
+            http.client.HTTPSConnection if parts.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._netloc, self._prefix = parts.netloc, parts.path
+        self._local = threading.local()
+        self._conns: weakref.WeakSet = weakref.WeakSet()
         self.options = options
         self.retry = retry
         self.breaker = breaker
@@ -112,6 +132,39 @@ class SearchClient:
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
+    def _exchange(
+        self, method: str, path: str, body: bytes | None = None,
+        headers: Mapping[str, str] | None = None,
+    ) -> tuple[int, bytes]:
+        """One request on this thread's connection: ``(status, body)``.
+
+        The connection stays open for the next request.  A kept-alive
+        connection that the server closed while it sat idle fails
+        before any answer; it is reopened and the request resent once,
+        so only a second failure reaches the caller.
+        """
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connect(
+                self._netloc, timeout=self.timeout
+            )
+            self._conns.add(conn)
+        reused = conn.sock is not None
+        while True:
+            try:
+                conn.request(method, self._prefix + path, body=body,
+                             headers=dict(headers or {}))
+                resp = conn.getresponse()
+                return resp.status, resp.read()
+            except (BrokenPipeError, ConnectionResetError):
+                conn.close()
+                if not reused:
+                    raise
+                reused = False  # the one reopen: the next try is fresh
+            except BaseException:
+                conn.close()
+                raise
+
     def _post_once(
         self,
         path: str,
@@ -119,34 +172,23 @@ class SearchClient:
         trace_header: str | None = None,
     ) -> dict:
         """One HTTP exchange; typed errors come back as exceptions."""
-        data = json.dumps(body).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         if trace_header is not None:
             headers[TRACE_HEADER] = trace_header
-        req = urllib.request.Request(
-            f"{self.url}{path}",
-            data=data,
-            headers=headers,
-            method="POST",
+        status, raw = self._exchange(
+            "POST", path, json.dumps(body).encode("utf-8"), headers
         )
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                doc = json.loads(resp.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            # The server answered with a taxonomy status: re-raise the
-            # same typed exception an in-process call would have raised.
-            raw = exc.read()
-            try:
-                doc = json.loads(raw.decode("utf-8"))
-                wire.check_schema_version(doc, side="client")
-                raise wire.decode_error(doc) from None
-            except (ValueError, UnicodeDecodeError):
-                raise WireError(
-                    f"server answered HTTP {exc.code} with a non-wire "
-                    f"body: {raw[:200]!r}"
-                ) from exc
+            doc = json.loads(raw.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError):
+            raise WireError(
+                f"server answered HTTP {status} with a non-wire "
+                f"body: {raw[:200]!r}"
+            ) from None
         wire.check_schema_version(doc, side="client")
-        if doc.get("kind") == "error":
+        # A taxonomy status or an error envelope: re-raise the same
+        # typed exception an in-process call would have raised.
+        if status >= 400 or doc.get("kind") == "error":
             raise wire.decode_error(doc)
         return doc
 
@@ -212,7 +254,7 @@ class SearchClient:
                     time.sleep(retry.backoff(attempt))
                     continue
                 raise
-            except (urllib.error.URLError, ConnectionError, OSError) as exc:
+            except (OSError, http.client.HTTPException) as exc:
                 # No HTTP answer at all: connection refused, reset,
                 # socket timeout.  Same ladder as a shed response.
                 self.metrics.increment("serve.client.errors")
@@ -233,14 +275,16 @@ class SearchClient:
 
     def _get(self, path: str) -> dict:
         try:
-            with urllib.request.urlopen(
-                f"{self.url}{path}", timeout=self.timeout
-            ) as resp:
-                return json.loads(resp.read().decode("utf-8"))
-        except (urllib.error.URLError, ConnectionError, OSError) as exc:
+            status, raw = self._exchange("GET", path)
+        except (OSError, http.client.HTTPException) as exc:
             raise PipelineError(
                 f"server at {self.url} unreachable: {exc}"
             ) from exc
+        if status != 200:
+            raise PipelineError(
+                f"server at {self.url} answered {path} with HTTP {status}"
+            )
+        return json.loads(raw.decode("utf-8"))
 
     def _body(self, extra: Mapping[str, Any]) -> dict:
         body = dict(extra)
@@ -399,7 +443,9 @@ class SearchClient:
         return doc.get("metrics", {})
 
     def close(self) -> None:
-        """Signature parity with ``SearchService`` (nothing to release)."""
+        """Close every open connection (a later call reopens one)."""
+        for conn in list(self._conns):
+            conn.close()
 
     def __enter__(self) -> "SearchClient":
         return self

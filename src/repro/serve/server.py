@@ -1,8 +1,8 @@
 """The HTTP search server: ``SearchService`` behind a wire protocol.
 
-A deliberately small WSGI application served by the stdlib's threading
-``wsgiref`` server — no framework, no dependencies — exposing the
-in-process :class:`~repro.service.SearchService` over versioned JSON
+A deliberately small server on the stdlib's threading ``http.server``
+— no framework, no dependencies — exposing the in-process
+:class:`~repro.service.SearchService` over versioned JSON
 (:mod:`repro.serve.wire`):
 
 ``POST /v1/submit``
@@ -20,6 +20,17 @@ in-process :class:`~repro.service.SearchService` over versioned JSON
 ``GET /v1/metrics``
     The server registry's snapshot (statsd-style names).
 
+Connections are HTTP/1.1 and stay open between requests: one handler
+thread per connection (``serve.connections`` counts them) answers
+request after request with ``TCP_NODELAY`` set, so a client pays the
+TCP handshake and the thread start once, not per query.  A connection
+idle for ``IDLE_TIMEOUT_SECONDS`` is closed.  Once the server is
+shutting down (``max_requests`` reached, :meth:`SearchServer.close`,
+SIGTERM in the CLI) idle connections are closed at once and a request
+in flight is answered with ``Connection: close``.  A client that sends
+``Connection: close`` (``urllib``) gets one request per connection,
+as before.
+
 Admission control reuses the service-layer vocabulary: at most
 ``max_inflight`` requests are admitted concurrently (queued requests
 hold a slot while they wait for the single-threaded service), and
@@ -33,22 +44,24 @@ underneath exactly as in-process.
 Execution over the wrapped service is serialised: the DP work is
 CPU-bound, the process-pool executors are not reentrant, and a traced
 request installs its tracer process-wide, so concurrent handler
-threads take turns; concurrency buys admission and
-I/O overlap, not parallel scoring.  Errors map to status codes through
-the canonical taxonomy (:data:`repro.exceptions.ERROR_STATUS`), so the
-client re-raises the same typed exception an in-process call would.
+threads take turns (``serve.lock_wait.seconds`` records each turn's
+wait); concurrency buys admission and I/O overlap, not parallel
+scoring.  Errors map to status codes through the canonical taxonomy
+(:data:`repro.exceptions.ERROR_STATUS`), so the client re-raises the
+same typed exception an in-process call would.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import uuid
 from collections import OrderedDict
-from socketserver import ThreadingMixIn
-from typing import Any, Callable, Iterable, Mapping
-from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any, Callable, Mapping
+from urllib.parse import urlsplit
 
 from ..db.database import SequenceDatabase
 from ..exceptions import (
@@ -60,7 +73,7 @@ from ..exceptions import (
 )
 from ..metrics.counters import METRICS, MetricsRegistry
 from ..metrics.export import to_prometheus
-from ..obs.context import TraceContext
+from ..obs.context import TRACE_HEADER, TraceContext
 from ..obs.tracer import Tracer, get_tracer, use_tracer
 from ..search.api import SearchOptions, SearchRequest
 from ..service.service import SearchService
@@ -68,36 +81,141 @@ from . import wire
 
 __all__ = ["SearchServer"]
 
-#: HTTP reason phrases for the statuses the taxonomy can produce.
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
-
 #: Default hits per stream page (overridable per call).
 DEFAULT_PAGE_SIZE = 256
 
 #: Request bodies above this size are rejected before parsing.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: A kept-alive connection with no request for this long is closed.
+IDLE_TIMEOUT_SECONDS = 30.0
 
-class _ThreadingWSGIServer(ThreadingMixIn, WSGIServer):
-    """One daemon thread per connection; shutdown never waits on them."""
-
-    daemon_threads = True
+_JSON = "application/json"
+_PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
 
 
-class _QuietHandler(WSGIRequestHandler):
-    """The stdlib handler, minus per-request stderr chatter."""
+class _Handler(BaseHTTPRequestHandler):
+    """One connection: HTTP/1.1 requests until it closes.
+
+    The peer, the idle timeout (``timeout``, the socket timeout the
+    base class sets) or a server shutdown ends it.  Each wait for a
+    next request is registered with the server, which can end the
+    wait when it shuts down.
+    """
+
+    protocol_version = "HTTP/1.1"
+    timeout = IDLE_TIMEOUT_SECONDS
+    disable_nagle_algorithm = True
+    # Buffer each response so its headers and body leave in one write.
+    wbufsize = -1
+    server: "_HTTPServer"
+
+    def setup(self) -> None:
+        super().setup()
+        self.server.opened()
+
+    def handle(self) -> None:
+        self.close_connection = False
+        while not self.close_connection and self.server.wait(self.connection):
+            self.handle_one_request()
+
+    def parse_request(self) -> bool:
+        self.server.woke(self.connection)
+        return super().parse_request()
+
+    def finish(self) -> None:
+        self.server.finished(self.connection)
+        super().finish()
+
+    def _serve(self) -> None:
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        raw = b""
+        if 0 < length <= MAX_BODY_BYTES:
+            raw = self.rfile.read(length)
+        elif length:
+            # An unread body cannot be skipped: answer, then close.
+            self.close_connection = True
+        status, ctype, data = self.server.app._dispatch(
+            self.command, urlsplit(self.path).path, self.headers, length, raw,
+        )
+        self.send_response_only(status)
+        self.send_header("Content-Type", ctype)
+        self.send_header("Content-Length", str(len(data)))
+        if self.close_connection or self.server.closing:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(data)
+
+    do_GET = do_POST = do_PUT = do_PATCH = do_DELETE = _serve
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass
+
+
+class _HTTPServer(ThreadingHTTPServer):
+    """The threaded HTTP server, knowing its handlers and idle connections.
+
+    :meth:`drain` marks the server as closing and ends every idle
+    wait (``shutdown(SHUT_RD)`` makes the pending read return EOF), so
+    those handler threads exit at once; a handler mid-request answers
+    with ``Connection: close`` and exits after that, and :meth:`join`
+    waits for both.  Handler threads stay daemons, so a server nobody
+    closes never holds up interpreter exit.
+    """
+
+    def __init__(self, app: "SearchServer") -> None:
+        self.app = app
+        self.closing = False
+        self._idle: set[socket.socket] = set()
+        self._handlers: set[threading.Thread] = set()
+        self._lock = threading.Lock()
+        super().__init__((app.host, app._requested_port), _Handler)
+
+    def opened(self) -> None:
+        """Count a new connection and track the thread serving it."""
+        self.app.metrics.increment("serve.connections")
+        with self._lock:
+            self._handlers.add(threading.current_thread())
+
+    def wait(self, conn: socket.socket) -> bool:
+        """Register ``conn`` as idle; False once the server is closing."""
+        with self._lock:
+            if self.closing:
+                return False
+            self._idle.add(conn)
+            return True
+
+    def woke(self, conn: socket.socket) -> None:
+        """``conn`` has a request to answer."""
+        with self._lock:
+            self._idle.discard(conn)
+
+    def finished(self, conn: socket.socket) -> None:
+        """The calling handler thread is done with ``conn``."""
+        with self._lock:
+            self._idle.discard(conn)
+            self._handlers.discard(threading.current_thread())
+
+    def drain(self) -> None:
+        """Stop keeping connections alive and close the idle ones."""
+        with self._lock:
+            self.closing = True
+            idle, self._idle = self._idle, set()
+        for conn in idle:
+            try:
+                conn.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
+
+    def join(self) -> None:
+        """Wait for every handler thread (call after :meth:`drain`)."""
+        with self._lock:
+            handlers = list(self._handlers)
+        for thread in handlers:
+            thread.join()
 
 
 class _Shed(Exception):
@@ -189,7 +307,7 @@ class SearchServer:
         self._streams_lock = threading.Lock()
         self._served = 0
         self._started = time.monotonic()
-        self._httpd: WSGIServer | None = None
+        self._httpd: _HTTPServer | None = None
         self._thread: threading.Thread | None = None
         self._closed = False
 
@@ -208,13 +326,9 @@ class SearchServer:
         """Base URL clients should talk to."""
         return f"http://{self.host}:{self.port}"
 
-    def _bind(self) -> WSGIServer:
+    def _bind(self) -> _HTTPServer:
         if self._httpd is None:
-            self._httpd = make_server(
-                self.host, self._requested_port, self.app,
-                server_class=_ThreadingWSGIServer,
-                handler_class=_QuietHandler,
-            )
+            self._httpd = _HTTPServer(self)
         return self._httpd
 
     def start(self) -> "SearchServer":
@@ -233,16 +347,23 @@ class SearchServer:
         self._bind().serve_forever(poll_interval=0.05)
 
     def close(self) -> None:
-        """Stop serving, release the socket and the service's pools."""
+        """Stop serving, release the sockets and the service's pools.
+
+        Idle connections close at once; a request in flight is answered
+        (with ``Connection: close``), and its handler thread has exited
+        before the service closes.
+        """
         if self._closed:
             return
         self._closed = True
         httpd, self._httpd = self._httpd, None
         if httpd is not None:
+            httpd.drain()
             # shutdown() is safe from any thread except the one inside
             # serve_forever; handler threads qualify.
             httpd.shutdown()
             httpd.server_close()
+            httpd.join()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
@@ -279,42 +400,52 @@ class SearchServer:
             self.metrics.set_gauge("serve.inflight", float(self._inflight))
 
     def _count_served(self) -> None:
-        """Honour ``max_requests`` by shutting down after the last one."""
+        """Honour ``max_requests`` by shutting down after the last one.
+
+        The last request is answered with ``Connection: close``; idle
+        connections close at once, and the listening socket closes
+        once the accept loop has stopped.
+        """
         if self.max_requests is None:
             return
-        self._served += 1
-        if self._served >= self.max_requests:
-            httpd = self._httpd
-            if httpd is not None:
-                threading.Thread(
-                    target=httpd.shutdown, daemon=True
-                ).start()
+        with self._admission:
+            self._served += 1
+            last = self._served == self.max_requests
+        httpd = self._httpd
+        if last and httpd is not None:
+            httpd.drain()
+
+            def stop() -> None:
+                httpd.shutdown()
+                httpd.server_close()
+
+            threading.Thread(target=stop, daemon=True).start()
 
     # ------------------------------------------------------------------
-    # the WSGI application
+    # request dispatch
     # ------------------------------------------------------------------
-    def app(
-        self, environ: Mapping[str, Any], start_response: Callable
-    ) -> Iterable[bytes]:
-        """The WSGI callable (usable under any WSGI host, not just ours)."""
-        method = environ.get("REQUEST_METHOD", "GET")
-        path = environ.get("PATH_INFO", "/")
+    def _dispatch(
+        self, method: str, path: str, headers: Mapping[str, str],
+        length: int, raw: bytes,
+    ) -> tuple[int, str, bytes]:
+        """Answer one request: ``(status, content type, body)``.
+
+        ``length`` is the request's Content-Length (``-1`` when
+        malformed) and ``raw`` its body, read only when ``length`` is
+        within :data:`MAX_BODY_BYTES`.
+        """
         try:
             if method == "GET" and path == "/v1/healthz":
-                return self._respond(start_response, 200, self._healthz())
+                return self._respond(200, self._healthz())
             if method == "GET" and path == "/v1/metrics":
                 # Content negotiation: Prometheus scrapers ask for
                 # text/plain, everything else gets the JSON envelope.
-                if "text/plain" in environ.get("HTTP_ACCEPT", ""):
-                    return self._respond_text(
-                        start_response, 200, to_prometheus(self.metrics)
-                    )
-                return self._respond(
-                    start_response, 200,
-                    wire.envelope(
-                        "metrics", {"metrics": self.metrics.snapshot()}
-                    ),
-                )
+                if "text/plain" in headers.get("Accept", ""):
+                    text = to_prometheus(self.metrics).encode("utf-8")
+                    return 200, _PROMETHEUS, text
+                return self._respond(200, wire.envelope(
+                    "metrics", {"metrics": self.metrics.snapshot()}
+                ))
             handlers = {
                 "/v1/submit": self._handle_submit,
                 "/v1/batch": self._handle_batch,
@@ -323,18 +454,17 @@ class SearchServer:
             if path not in handlers:
                 raise WireError(f"unknown endpoint {path!r}")
             if method != "POST":
-                return self._respond(
-                    start_response, 405,
-                    wire.envelope("error", wire.encode_error(
+                return self._respond(405, wire.envelope(
+                    "error", wire.encode_error(
                         WireError(f"{path} only accepts POST")
-                    )),
-                )
-            trace_header = environ.get("HTTP_X_REPRO_TRACE")
+                    ),
+                ))
+            trace_header = headers.get(TRACE_HEADER)
             trace_ctx = (
                 None if trace_header is None
                 else TraceContext.from_header(trace_header)
             )
-            body = self._read_body(environ)
+            body = self._parse_body(length, raw)
             wire.check_schema_version(body, side="server")
             self.metrics.increment("serve.requests")
             with self.metrics.timer("serve.request.seconds").time():
@@ -350,31 +480,27 @@ class SearchServer:
                 finally:
                     self._release()
             self._count_served()
-            return self._respond(start_response, 200, payload)
+            return self._respond(200, payload)
         except ReproError as exc:
             self.metrics.increment("serve.errors")
             return self._respond(
-                start_response, status_for(exc),
-                wire.envelope("error", wire.encode_error(exc)),
+                status_for(exc), wire.envelope("error", wire.encode_error(exc)),
             )
         except Exception as exc:  # pragma: no cover - defensive
             self.metrics.increment("serve.errors")
             return self._respond(
-                start_response, 500,
-                wire.envelope("error", wire.encode_error(exc)),
+                500, wire.envelope("error", wire.encode_error(exc)),
             )
 
-    def _read_body(self, environ: Mapping[str, Any]) -> dict:
-        try:
-            length = int(environ.get("CONTENT_LENGTH") or 0)
-        except ValueError:
-            raise WireError("malformed Content-Length") from None
+    @staticmethod
+    def _parse_body(length: int, raw: bytes) -> dict:
+        if length < 0:
+            raise WireError("malformed Content-Length")
         if length > MAX_BODY_BYTES:
             raise WireError(
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte cap"
             )
-        raw = environ["wsgi.input"].read(length) if length else b""
         try:
             doc = json.loads(raw.decode("utf-8")) if raw else {}
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -383,34 +509,9 @@ class SearchServer:
             raise WireError("request body must be a JSON object")
         return doc
 
-    def _respond(
-        self, start_response: Callable, status: int, payload: Mapping
-    ) -> Iterable[bytes]:
-        data = json.dumps(payload).encode("utf-8")
-        reason = _REASONS.get(status, "Unknown")
-        start_response(
-            f"{status} {reason}",
-            [
-                ("Content-Type", "application/json"),
-                ("Content-Length", str(len(data))),
-            ],
-        )
-        return [data]
-
-    def _respond_text(
-        self, start_response: Callable, status: int, text: str
-    ) -> Iterable[bytes]:
-        """Plain-text response (the Prometheus exposition path)."""
-        data = text.encode("utf-8")
-        reason = _REASONS.get(status, "Unknown")
-        start_response(
-            f"{status} {reason}",
-            [
-                ("Content-Type", "text/plain; version=0.0.4; charset=utf-8"),
-                ("Content-Length", str(len(data))),
-            ],
-        )
-        return [data]
+    @staticmethod
+    def _respond(status: int, payload: Mapping) -> tuple[int, str, bytes]:
+        return status, _JSON, json.dumps(payload).encode("utf-8")
 
     # ------------------------------------------------------------------
     # endpoints
@@ -469,16 +570,22 @@ class SearchServer:
     ) -> tuple[Any, dict | None]:
         """Run ``fn`` under the service lock, traced when ``ctx`` asks.
 
-        When the request carried an ``X-Repro-Trace`` header, the work
-        runs inside a fresh per-request :class:`Tracer` that *joins* the
-        caller's trace id, under a ``serve.request`` root span.  The
-        tracer is installed via :func:`use_tracer` — a process-global
-        swap, safe here only because ``_service_lock`` already
-        serialises all service execution.  Returns ``(result, trace)``
-        where ``trace`` is the wire-encoded span set (or ``None`` when
-        untraced).
+        The wait for the lock is recorded in the
+        ``serve.lock_wait.seconds`` histogram, and on a traced request
+        as the ``lock_wait_seconds`` attribute of its root span, which
+        opens only once the lock is held.  When the request carried an
+        ``X-Repro-Trace`` header, the work runs inside a fresh
+        per-request :class:`Tracer` that *joins* the caller's trace id,
+        under a ``serve.request`` root span.  The tracer is installed
+        via :func:`use_tracer` — a process-global swap, safe here only
+        because ``_service_lock`` already serialises all service
+        execution.  Returns ``(result, trace)`` where ``trace`` is the
+        wire-encoded span set (or ``None`` when untraced).
         """
+        queued = time.perf_counter()
         with self._service_lock:
+            waited = time.perf_counter() - queued
+            self.metrics.observe("serve.lock_wait.seconds", waited)
             if ctx is None:
                 return fn(), None
             tracer = Tracer(trace_id=ctx.trace_id)
@@ -487,6 +594,7 @@ class SearchServer:
                     "serve.request",
                     endpoint=endpoint,
                     remote_parent_span_id=ctx.parent_span_id,
+                    lock_wait_seconds=round(waited, 6),
                 ) as root:
                     result = fn()
             self.metrics.increment("serve.traced")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.alphabet import PROTEIN
-from repro.scoring import BLOSUM62, GapModel, paper_gap_model
+from repro.scoring import BLOSUM62, GapModel, SubstitutionMatrix, paper_gap_model
 
 #: The 20 standard residues (no ambiguity codes) for random sequences.
 STANDARD_RESIDUES = "ARNDCQEGHILKMFPSTWYV"
@@ -20,6 +20,18 @@ def random_protein(rng: np.random.Generator, length: int) -> str:
 def random_codes(rng: np.random.Generator, length: int) -> np.ndarray:
     """Random residue codes (standard residues only)."""
     return rng.integers(0, 20, length).astype(np.uint8)
+
+
+def hot3000_matrix() -> SubstitutionMatrix:
+    """Match 3000, mismatch -2: forces the numpy kernel's int16 redo.
+
+    Twelve identical residues score 36000, past the int16 clamp
+    (24575), while the reward still passes the narrow precheck.
+    """
+    n = PROTEIN.size
+    data = np.full((n, n), -2, dtype=np.int32)
+    np.fill_diagonal(data, 3000)
+    return SubstitutionMatrix("HOT3000", PROTEIN, data)
 
 
 @pytest.fixture

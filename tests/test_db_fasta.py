@@ -59,6 +59,18 @@ class TestRecord:
         with pytest.raises(FastaError, match="whitespace"):
             FastaRecord("h", "AC DE")
 
+    #: Every code point for which ``str.isspace()`` is true.
+    WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+    def test_every_whitespace_character_rejected(self):
+        assert len(self.WHITESPACE) == 29
+        for ch in self.WHITESPACE:
+            with pytest.raises(FastaError, match="whitespace"):
+                FastaRecord("x", f"AC{ch}DE")
+        # Non-space separators and control characters are not whitespace.
+        for ch in ("\x00", "\u200b", "\u180e", "\ufeff"):
+            assert FastaRecord("x", f"AC{ch}DE").sequence == f"AC{ch}DE"
+
     def test_blank_header_rejected(self):
         with pytest.raises(FastaError, match="non-empty header"):
             FastaRecord("   ", "ACDE")

@@ -15,7 +15,9 @@ bugs the duplicated copies used to carry:
 * the sharded driver is re-entrant: concurrent searches with different
   ``top_k`` no longer share a bound;
 * the tiered funnel runs inside the streaming loop and its root span
-  covers the query word-table build.
+  covers the query word-table build;
+* lane groups merged into runs sweep the same plans serially, on the
+  pool at any chunk size, and under a corrupting fault plan.
 """
 
 from __future__ import annotations
@@ -26,10 +28,12 @@ import time
 import numpy as np
 import pytest
 
+from repro.alphabet import PROTEIN
 from repro.core.profiles import ProfileKind
-from repro.db import SequenceDatabase
+from repro.db import SequenceDatabase, preprocess_database
 from repro.db.synthetic import SyntheticSwissProt
 from repro.exceptions import PipelineError
+from repro.faults import FaultInjector, FaultPlan
 from repro.obs import Tracer, use_tracer
 from repro.search import (
     ScanContext,
@@ -41,6 +45,8 @@ from repro.search import (
     TopK,
     rank_hits,
 )
+
+from tests.conftest import hot3000_matrix
 
 QUERY = "MKTAYIAKQRQISFVKSHFSRQLEERLGLIEVQ"
 
@@ -251,3 +257,38 @@ class TestTieredFunnel:
             s for s in tracer.collector.spans() if s.name == "tiered.search"
         ]
         assert root.wall_seconds >= 0.05
+
+
+class TestRuns:
+    def test_serial_pooled_and_faulted_scans_sweep_the_same_runs(self, db):
+        # At 8 lanes the 34 lane groups merge into runs of 25, 8 and 1.
+        # Under HOT3000 a 3-residue query scores up to 9000: past the
+        # clamp of a sweep whose lanes hold 3 sequences, below the
+        # others'.  Which lanes hold 3 depends on the run, so the redo
+        # count matches only if every scan sweeps the same plans (one
+        # plan per group would redo 232 sequences, not 240).
+        opts = SearchOptions(matrix=hot3000_matrix(), kernel="numpy", lanes=8)
+        pipe = SearchPipeline(opts)
+        runs = pipe.engine.runs(preprocess_database(db, lanes=8).groups)
+        assert [len(run) for run in runs] == [25, 8, 1]
+        query = PROTEIN.decode(db.sequences[11][:3])
+        plan = FaultPlan(seed=5, corrupt_rate=0.3)
+        for injector in (None, FaultInjector(plan)):
+            serial = SearchPipeline(opts.merged(injector=injector)).search(
+                query, db
+            )
+            assert serial.saturated_recomputed == 240
+            if injector is not None:
+                assert serial.corrupted_redone > 0
+            for chunk in (1, 3, None):
+                with SearchPipeline(
+                    opts.merged(injector=injector), workers=2,
+                    parallel_chunk_size=chunk,
+                ) as pooled:
+                    par = pooled.search(query, db)
+                assert np.array_equal(par.scores, serial.scores)
+                assert par.saturated_recomputed == serial.saturated_recomputed
+                assert par.corrupted_redone == serial.corrupted_redone
+            clean = pipe.search(query, db)
+            assert np.array_equal(serial.scores, clean.scores)
+            assert serial.saturated_recomputed == clean.saturated_recomputed

@@ -14,6 +14,7 @@ The acceptance criteria of the robustness layer:
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from itertools import islice
@@ -21,6 +22,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
+from repro.alphabet import PROTEIN
 from repro.db import SequenceDatabase
 from repro.db.synthetic import SyntheticSwissProt
 from repro.exceptions import (
@@ -42,6 +44,7 @@ from repro.search import (
     StreamingSearch,
 )
 from repro.service import SearchService
+from tests.conftest import hot3000_matrix
 
 QUERY = "MKTAYIAKQRQISFVKSHFSRQLEERLGLIEVQ"
 
@@ -364,6 +367,39 @@ class TestResumableScans:
         assert snap["resume.loaded"] == 1
         assert snap["resume.records_skipped"] > 0
 
+    def test_saturated_count_survives_sharding_and_resume(self, db, tmp_path):
+        # HOT3000 lifts the query's self-hit past the int16 clamp, so the
+        # numpy kernel redoes sequences at full width.  The journal keeps
+        # the count of the merged shards, so the resumed scan reports it
+        # for the whole scan.
+        opts = SearchOptions(
+            matrix=hot3000_matrix(), kernel="numpy", chunk_size=16, top_k=5
+        )
+        query = PROTEIN.decode(db.sequences[11][:12])
+        serial = StreamingSearch(opts).search_database(query, db)
+        assert serial.saturated_recomputed > 0
+        journal = tmp_path / "saturated.journal"
+        with ShardedStreamingSearch(
+            opts, workers=2, shard_records=64, journal=journal,
+        ) as sharded:
+            whole = sharded.search_database(query, db)
+            with pytest.raises(CrashedStream):
+                sharded.search_records(
+                    query, crashing_stream(db, min(200, len(db) - 30)),
+                    database_name=db.name,
+                )
+            saved = json.loads(journal.read_text())
+            assert 0 < saved["saturated_recomputed"] < serial.saturated_recomputed
+            resumed = sharded.resume(
+                query, record_stream(db), database_name=db.name,
+            )
+        assert hit_tuples(whole) == hit_tuples(resumed) == hit_tuples(serial)
+        assert (
+            whole.saturated_recomputed
+            == resumed.saturated_recomputed
+            == serial.saturated_recomputed
+        )
+
     def test_deadline_partial_then_resume_completes(self, db, tmp_path):
         journal = tmp_path / "deadline.journal"
         opts = SearchOptions(chunk_size=16, top_k=6)
@@ -486,6 +522,16 @@ class TestScanJournal:
         (score, neg_idx, hit), = loaded.heap_entries()
         assert (score, neg_idx) == (17, -5)
         assert hit.index == 5 and hit.score == 17
+
+    def test_journal_without_saturated_count_still_loads(self, tmp_path):
+        journal = ScanJournal(tmp_path / "j.json")
+        journal.save("fp", ScanState(records_done=64, corrupted_redone=2))
+        payload = json.loads(journal.path.read_text())
+        del payload["saturated_recomputed"]
+        journal.path.write_text(json.dumps(payload))
+        loaded = journal.load("fp")
+        assert loaded is not None
+        assert (loaded.records_done, loaded.saturated_recomputed) == (64, 0)
 
     def test_wrong_fingerprint_means_absent(self, tmp_path):
         journal = ScanJournal(tmp_path / "j.json")

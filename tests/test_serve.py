@@ -9,6 +9,9 @@ database, and remote failures re-raise the same typed exceptions.
 """
 
 import json
+import sys
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -25,9 +28,11 @@ from repro.exceptions import (
 )
 from repro.faults import CircuitBreaker, Deadline, RetryPolicy
 from repro.metrics import MetricsRegistry
+from repro.obs.context import TRACE_HEADER, TraceContext
 from repro.scoring import GapModel
 from repro.search import SearchOptions, SearchRequest
 from repro.serve import RemoteSearchResult, SearchClient, SearchServer, wire
+from repro.serve.server import IDLE_TIMEOUT_SECONDS, _Handler
 from repro.serve.wire import WIRE_SCHEMA_VERSION
 from repro.service import SearchService
 
@@ -420,3 +425,142 @@ class TestLifecycle:
             client.search(QUERY)
         with pytest.raises(PipelineError, match="unreachable"):
             client.health()
+
+
+def submit_body(query=QUERY):
+    return {
+        "schema_version": WIRE_SCHEMA_VERSION, "kind": "request",
+        "request": {"query": query},
+    }
+
+
+class TestKeepAlive:
+    def test_one_client_uses_one_connection(self, db):
+        metrics = MetricsRegistry()
+        with SearchServer(db, metrics=metrics) as srv:
+            client = SearchClient(srv.url, metrics=MetricsRegistry())
+            for _ in range(5):
+                assert client.search(QUERY).best_score() > 0
+            client.health()
+            assert metrics.snapshot()["serve.connections"] == 1
+
+    def test_connection_dropped_while_idle_is_reopened(self, db, monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.2)
+        metrics, client_metrics = MetricsRegistry(), MetricsRegistry()
+        with SearchServer(db, metrics=metrics) as srv:
+            client = SearchClient(srv.url, metrics=client_metrics)
+            first = client.search(QUERY)
+            time.sleep(0.6)  # past the idle timeout: the server hangs up
+            second = client.search(QUERY)
+            assert second.hits == first.hits
+            assert metrics.snapshot()["serve.connections"] == 2
+        assert "serve.client.errors" not in client_metrics.snapshot()
+
+    def test_close_leaves_no_handler_thread(self, db):
+        before = set(threading.enumerate())
+        srv = SearchServer(db, metrics=MetricsRegistry()).start()
+        client = SearchClient(srv.url, metrics=MetricsRegistry())
+        client.search(QUERY)  # leaves a kept-alive connection open
+        started = time.perf_counter()
+        srv.close()
+        assert time.perf_counter() - started < IDLE_TIMEOUT_SECONDS / 10
+        left = [t for t in threading.enumerate() if t not in before]
+        assert left == [], left
+
+    def test_concurrent_clients_keep_one_connection_each(self, db):
+        # More client threads than cores, switching often: every answer
+        # is right, each thread keeps its own connection, and close()
+        # still leaves no handler thread behind.
+        before = set(threading.enumerate())
+        expected = list(SearchService(SearchOptions()).search(QUERY, db).hits)
+        metrics = MetricsRegistry()
+        srv = SearchServer(db, metrics=metrics).start()
+        client = SearchClient(srv.url, metrics=MetricsRegistry())
+        answers, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def drive():
+                for _ in range(5):
+                    answers.append(list(client.search(QUERY).hits))
+
+            threads = [threading.Thread(target=drive) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            srv.close()
+        assert answers == [expected] * 40
+        snap = metrics.snapshot()
+        assert (snap["serve.requests"], snap["serve.connections"]) == (40, 8)
+        left = [t for t in threading.enumerate() if t not in before]
+        assert left == [], left
+
+    def test_connection_close_clients_are_served(self, db):
+        metrics = MetricsRegistry()
+        with SearchServer(db, metrics=metrics) as srv:
+            for _ in range(2):
+                req = urllib.request.Request(
+                    f"{srv.url}/v1/submit",
+                    data=json.dumps(submit_body()).encode("utf-8"),
+                    headers={"Content-Type": "application/json"},
+                    method="POST",
+                )
+                with urllib.request.urlopen(req, timeout=10) as resp:
+                    assert resp.status == 200
+                    assert resp.headers["Connection"] == "close"
+                    assert json.loads(resp.read())["kind"] == "outcome"
+            assert metrics.snapshot()["serve.connections"] == 2
+
+
+class TestLockWait:
+    def test_queued_request_records_its_wait(self, db):
+        metrics = MetricsRegistry()
+        with SearchServer(db, metrics=metrics) as srv:
+            entered, release = threading.Event(), threading.Event()
+            search = srv.service.search
+
+            def held(request, database):
+                entered.set()
+                release.wait(10)
+                return search(request, database)
+
+            srv.service.search = held
+            first = threading.Thread(
+                target=SearchClient(srv.url, metrics=MetricsRegistry()).search,
+                args=(QUERY,),
+            )
+            first.start()
+            assert entered.wait(10)
+            # The second request queues for the service lock, traced.
+            answer = {}
+
+            def traced_submit():
+                req = urllib.request.Request(
+                    f"{srv.url}/v1/submit",
+                    data=json.dumps(submit_body()).encode("utf-8"),
+                    headers={
+                        "Content-Type": "application/json",
+                        TRACE_HEADER: TraceContext("ab" * 8, 1).to_header(),
+                    },
+                    method="POST",
+                )
+                with urllib.request.urlopen(req, timeout=10) as resp:
+                    answer.update(json.loads(resp.read()))
+
+            second = threading.Thread(target=traced_submit)
+            second.start()
+            time.sleep(0.3)
+            release.set()
+            first.join(10)
+            second.join(10)
+        waits = metrics.snapshot()["serve.lock_wait.seconds"]
+        assert waits["count"] == 2
+        assert waits["max"] >= 0.2
+        (root,) = [
+            span for span in answer["trace"]["spans"]
+            if span["name"] == "serve.request"
+        ]
+        assert root["attributes"]["lock_wait_seconds"] >= 0.2

@@ -9,7 +9,8 @@ and demands bit-identical scores against the scalar oracle.
 
 Packed lanes lay several sequences end to end in one lane; they must
 score as if each sequence had a lane of its own
-(:class:`TestPackedLanes`).
+(:class:`TestPackedLanes`).  Consecutive lane groups that fit one sweep
+share one packed plan (:class:`TestRuns`).
 
 The saturation tests force overflow on purpose — a homopolymer whose
 true score exceeds the int8 clamp, and a custom high-valued matrix that
@@ -21,13 +22,19 @@ misreports is a silent wrong answer.  Both failure modes are pinned.
 
 from __future__ import annotations
 
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
 from repro.alphabet import PROTEIN
 from repro.core import VectorizedEngine, get_engine
 from repro.core.intertask import build_lane_groups
-from repro.core.vectorized import _pack_lanes, make_intertask_engine
+from repro.core.vectorized import (
+    _pack_lanes,
+    lane_group_runs,
+    make_intertask_engine,
+)
 from repro.exceptions import EngineError
 from repro.scoring import BLOSUM62, GapModel, SubstitutionMatrix
 from tests.conftest import STANDARD_RESIDUES, random_protein
@@ -532,3 +539,84 @@ class TestPackedLanes:
         np.testing.assert_array_equal(batch.scores, ref)
         assert batch.saturated == []
         assert engine.stats.narrow_sweeps == 0
+
+
+def swissprot_like_lengths(n):
+    """The ``n`` mid-quantiles of a Swiss-Prot-like lognormal, 11..4000."""
+    normal = NormalDist(5.68, 0.70)
+    logs = [normal.inv_cdf((k + 0.5) / n) for k in range(n)]
+    return np.clip(np.rint(np.exp(logs)), 11, 4000).astype(int)
+
+
+def run_plans(engine, query, groups, matrix, gaps):
+    """Per run of ``groups``: its lengths and its packed sweeps."""
+    prep = engine._prepare(PROTEIN.encode(query), matrix)
+    tier = engine._narrow_tier(prep, gaps.open, gaps.extend)
+    plans = []
+    for run in engine.runs(groups):
+        lengths = np.concatenate([groups[g].lengths for g in run])
+        plans.append(
+            (lengths, _pack_lanes(lengths, tier.tile, tier.segments))
+        )
+    return plans
+
+
+class TestRuns:
+    """Consecutive lane groups that fit one sweep share one packed plan."""
+
+    def test_runs_follow_residue_totals(self):
+        def runs(residues):
+            return [list(run) for run in lane_group_runs(residues)]
+
+        assert runs([]) == []
+        assert runs([100, 200, 300]) == [[0, 1, 2]]
+        # Runs close at 45,056 residues; a group that fills a sweep by
+        # itself is a run of one.
+        assert runs([40000, 5056, 1, 50000, 10]) == [[0, 1], [2], [3], [4]]
+
+    def test_serve_like_database_sweeps_once(self, rng, blosum62, gaps):
+        # 20 Swiss-Prot-like sequences (7,340 residues) at 8 lanes are
+        # three lane groups.  As one run they take one sweep per query,
+        # the plan 128 lanes give them.
+        lengths = swissprot_like_lengths(20)
+        assert lengths.sum() == 7340
+        seqs = [random_protein(rng, int(n)) for n in lengths]
+        query = random_protein(rng, 24)
+        ref = scalar_scores(query, seqs, blosum62, gaps)
+        for lanes in (8, 128):
+            engine = VectorizedEngine(PROTEIN, lanes=lanes)
+            groups = build_lane_groups(
+                [PROTEIN.encode(s) for s in seqs], lanes
+            )
+            assert len(groups) == (3 if lanes == 8 else 1)
+            assert engine.runs(groups) == [range(len(groups))]
+            batch = engine.score_batch(query, seqs, blosum62, gaps)
+            np.testing.assert_array_equal(batch.scores, ref)
+            assert engine.stats.narrow_sweeps == 1
+            assert batch.saturated == []
+
+    def test_stream_chunks_keep_their_plans(self, blosum62, gaps):
+        # 409 Swiss-Prot-like records in a fixed shuffled order, streamed
+        # in 256-record chunks at 128 lanes.  The two groups of a chunk
+        # hold more than one sweep's residues together, so each group is
+        # a run of its own and keeps its own plan: 5 sweeps at 91% fill.
+        lengths = swissprot_like_lengths(409)[
+            np.random.default_rng(409).permutation(409)
+        ]
+        engine = VectorizedEngine(PROTEIN)
+        sweeps, real, padded = 0, 0, 0.0
+        for k in range(0, 409, 256):
+            groups = build_lane_groups(
+                [np.zeros(n, dtype=np.uint8) for n in lengths[k:k + 256]],
+                128,
+            )
+            assert [len(run) for run in engine.runs(groups)] == [1, 1]
+            for run_lengths, plan in run_plans(
+                engine, "ACDEFGHIK", groups, blosum62, gaps
+            ):
+                sweeps += len(plan)
+                real += int(run_lengths.sum())
+                padded += run_lengths.sum() / plan_fill(plan, run_lengths)
+        assert sweeps == 5
+        assert round(real / padded, 2) == 0.91
+
