@@ -1,4 +1,4 @@
-"""Ablation — SIMD element width and the narrow-then-redo ladder.
+"""Ablation — SIMD element width and the byte-first width ladder.
 
 The paper's port computes in one element width; the systems it builds on
 (SWIPE [4], CUDASW++ [5]) run narrow elements with saturation-triggered
@@ -7,11 +7,12 @@ quantifies what that is worth on the paper's devices:
 
 * the *model* side: modelled GCUPS with 16-bit elements (twice the
   lanes) on both devices;
-* the *algorithmic* side: one real run of the vectorized engine's ladder
-  (int8 lanes, saturated lanes redone at full width) on a realistic
-  batch — what fraction of cells actually runs narrow, and the effective
-  lane speedup after recomputation costs.  On the Phi's 512-bit
-  registers the narrow pass runs 64 int8 lanes and the redo 16 int32
+* the *algorithmic* side: one real run of the vectorized engine's
+  default ladder on a realistic batch — every sequence is swept at
+  int8, those past the byte clamp are redone at int16, and those past
+  the int16 clamp at full width — with the cells each rung sweeps and
+  the effective lane speedup after recomputation costs.  On the Phi's
+  512-bit registers the rungs run 64 int8, 32 int16 and 16 int32
   lanes.
 """
 
@@ -32,6 +33,9 @@ QUERY_LEN = 5478
 REGISTER_BITS = 512
 NARROW_LANES = REGISTER_BITS // 8
 WIDE_LANES = REGISTER_BITS // 32
+#: Register lanes per rung of the ladder; the wide rung is the paper's
+#: 32-bit width.
+RUNG_LANES = {8: NARROW_LANES, 16: REGISTER_BITS // 16, 64: WIDE_LANES}
 
 
 @pytest.mark.benchmark(group="ablation-element-width")
@@ -51,22 +55,33 @@ def test_element_width_ablation(benchmark, xeon_model, phi_model,
                 32: model.gcups(wl32, QUERY_LEN, RunConfig(element_bits=32)),
                 16: model.gcups(wl16, QUERY_LEN, RunConfig(element_bits=16)),
             }
-        # One real ladder run on a realistic mixed batch.
-        engine = VectorizedEngine(lanes=NARROW_LANES, saturate_bits=8)
+        # One real ladder run (the default path) on a realistic batch.
+        engine = VectorizedEngine(lanes=NARROW_LANES)
         batch = engine.score_batch(
             query, db.sequences, BLOSUM62, paper_gap_model()
         )
-        return model_side, batch
+        return model_side, engine, batch
 
-    model_side, batch = run_once(benchmark, compute)
+    model_side, engine, batch = run_once(benchmark, compute)
 
-    # Every sequence runs narrow; the redo reruns the saturated ones.
-    narrow_cells = batch.cells
-    redo_cells = len(query) * sum(len(db.sequences[k]) for k in batch.saturated)
-    total_cells = narrow_cells + redo_cells
-    narrow_fraction = narrow_cells / total_cells
-    effective_lanes = (
-        NARROW_LANES * narrow_cells + WIDE_LANES * redo_cells
+    # Every sequence runs at int8; a rung past it reruns the sequences
+    # whose exact score reached the rung below's clamp.
+    gaps = paper_gap_model()
+    rungs = engine._rungs(
+        engine._prepare(query, BLOSUM62), gaps.open, gaps.extend
+    )
+    assert [r.dtype for r in rungs] == [np.int8, np.int16, np.int64]
+    lengths = np.array([len(s) for s in db.sequences])
+    ladder = [(8, len(lengths), batch.cells)]  # padded lane-group cells
+    for bits, below in zip((16, 64), rungs):
+        climbed = batch.scores >= below.clamp
+        cells = len(query) * int(lengths[climbed].sum())
+        ladder.append((bits, int(climbed.sum()), cells))
+    assert ladder[1][1] == len(batch.saturated)
+    total_cells = sum(cells for _, _, cells in ladder)
+    narrow_fraction = batch.cells / total_cells
+    effective_lanes = sum(
+        RUNG_LANES[bits] * cells for bits, _, cells in ladder
     ) / total_cells
     lane_speedup = effective_lanes / WIDE_LANES
 
@@ -80,17 +95,16 @@ def test_element_width_ablation(benchmark, xeon_model, phi_model,
         title="Ablation — modelled element-width effect (intrinsic-SP)",
     ))
     show(format_table(
-        ["bits", "lanes", "sequences", "saturated", "cells share"],
+        ["rung", "lanes", "sequences", "cells", "cells share"],
         [
-            (8, NARROW_LANES, len(db), len(batch.saturated),
-             f"{narrow_fraction:.1%}"),
-            (32, WIDE_LANES, len(batch.saturated), 0,
-             f"{redo_cells / total_cells:.1%}"),
+            (f"int{bits}" if bits < 64 else "int32 (wide)", RUNG_LANES[bits],
+             n, cells, f"{cells / total_cells:.1%}")
+            for bits, n, cells in ladder
         ],
-        title="Narrow-then-redo ladder (real run, 512-bit registers)",
+        title="Byte-first ladder (real run, 512-bit registers)",
     ))
     show(
-        f"narrow fraction {narrow_fraction:.1%}; effective lane "
+        f"int8 fraction {narrow_fraction:.1%}; effective lane "
         f"speedup over int32 lanes: {lane_speedup:.2f}x"
     )
     benchmark.extra_info["model_gain"] = {

@@ -22,8 +22,8 @@ Engine            Role
                   sequence-profile addressing and cache blocking.
 ``vectorized``    The array-parallel realisation of ``intertask``: packed
                   numpy lane matrices, one vector op per DP anti-step,
-                  narrow int16/int8 scoring with full-width redo of
-                  saturated lanes (the ``kernel="numpy"`` search kernel).
+                  int8 scoring first, saturated sequences redone at
+                  int16 then int64 (the ``kernel="numpy"`` search kernel).
 ================  ====================================================
 
 All engines return identical scores (a property-test invariant).

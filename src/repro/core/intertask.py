@@ -22,9 +22,9 @@ Three of the paper's optimisations are implemented faithfully:
   to the unblocked computation, which the test suite verifies.
 
 Like the paper's port, every cell is computed in one wide integer width,
-so no lane ever saturates.  Narrow elements with a full-width redo of
-saturated lanes (the SWIPE/SSW strategy) live in the array-parallel
-sibling, :class:`~repro.core.vectorized.VectorizedEngine`.
+so no lane ever saturates.  Byte elements first, with the saturated
+sequences redone wider (the SWIPE/SSW strategy), live in the
+array-parallel sibling, :class:`~repro.core.vectorized.VectorizedEngine`.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ class _LaneGroupEngine(AlignmentEngine):
     Subclasses set ``lanes`` and implement ``_prepare`` (the query- and
     matrix-dependent tables every group reuses) and ``score_group``,
     which returns a group's exact per-lane scores together with the
-    lanes it had to redo at full width.  Groups are scored run by run
+    lanes it had to redo wider.  Groups are scored run by run
     (:meth:`runs`, :meth:`score_run`); by default a run is one group.
     """
 
@@ -184,7 +184,7 @@ class _LaneGroupEngine(AlignmentEngine):
         """Score a whole database batch through lane groups, run by run.
 
         ``BatchResult.saturated`` lists the sequences whose lanes were
-        redone at full width; their scores are exact like all others.
+        redone wider; their scores are exact like all others.
         """
         q = as_codes(query, self.alphabet)
         self._check_matrix(matrix)

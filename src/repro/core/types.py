@@ -133,7 +133,7 @@ class BatchResult:
         Total DP cells evaluated across the batch.
     saturated:
         Indices of sequences whose narrow-integer computation saturated
-        and were recomputed at full width (empty when running in int32).
+        and were recomputed wider (empty when running in wide integers).
     """
 
     scores: np.ndarray

@@ -7,20 +7,27 @@ database sequences are packed into ``(n_max, L)`` lane matrices (reusing
 :func:`~repro.core.intertask.build_lane_groups` length-sorted packing) and
 every DP anti-step is one numpy operation across the lanes —
 ``np.maximum`` / ``np.add`` over all of them at once, with the
-horizontal-gap recurrence resolved by a log-step prefix scan per query
-row.  No Python loop over database position remains.
+horizontal-gap recurrence resolved by a log-step scan per query row.  No
+Python loop over database position remains.
 
-The kernel only does real work:
+Byte first, then wider (the SWIPE / SSW recompute path):
 
-* Lane groups are swept as *packed lanes* (:func:`_pack_lanes`,
-  SWIPE's lane refill): their sequences are laid end to end, one pad
-  column apart, in as few physical lanes as the narrow dtype's offset
-  budget allows, and no sweep holds more than ``_SWEEP_CELLS`` padded
-  cells.  A pad column scores like a pad, and per-segment offsets in the
-  horizontal-gap scan keep a gap from crossing it, so every sequence
-  scores as if it had a lane of its own (:meth:`VectorizedEngine._sweep`).
-  Full-width sweeps give each sequence a lane of its own: their scores
-  have no bound to size the offsets by.
+* Each width is a *rung* with one fixed saturation clamp: int8 first,
+  then int16, then exact int64 (:meth:`VectorizedEngine._rungs`).
+  Scores are computed with values clamped at the rung's limit, exactly
+  like saturating SIMD arithmetic.  A sequence whose best reaches the
+  limit is redone at the next rung, in a lane of its own; every other
+  sequence is provably exact (clamping can only lower values, and the
+  first clamped real cell pins its sequence's maximum at the limit).
+  A sequence is therefore redone iff its exact score reaches the first
+  rung's clamp, whoever its lane neighbours are.
+* The first rung sweeps *packed lanes* (:func:`_pack_lanes`, SWIPE's
+  lane refill): a run's sequences are laid end to end, one pad column
+  apart, and no sweep holds more than ``_SWEEP_CELLS`` padded cells
+  (twice that at int8: the same bytes per array).  A pad column's H is
+  held at 0 and a barrier in the gap scan keeps a horizontal gap from
+  crossing it, so every sequence scores as if it had a lane of its own
+  (:meth:`VectorizedEngine._lane_sweep`).
 * Consecutive lane groups whose real residues together fit one sweep
   form a *run* (:func:`lane_group_runs`) and share one packed plan
   (:meth:`VectorizedEngine.score_run`), so a database of small groups
@@ -28,30 +35,16 @@ The kernel only does real work:
   stays the unit outside the kernel: scores, redone lanes and fault
   units are still reported per group.
 * Each query row reads one contiguous sequence-profile plane per sweep.
-* The prefix scan stops at the row's *gap reach*: past it, a horizontal
-  gap cannot lift ``H`` over its zero floor.
 
-Two-tier width strategy (the SWIPE / SSW recompute path):
-
-* Scores are computed in a narrow element type (int16 by default,
-  optionally int8) with values *clamped* at a saturation limit, exactly
-  like saturating SIMD arithmetic.  A packed sweep lowers its limit to
-  make room for its segment offsets.
-* A sequence whose best reaches its sweep's limit is flagged, and only
-  the flagged sequences are redone at full int64 width, each in a lane
-  of its own, inside :meth:`VectorizedEngine.score_group` — the one
-  narrow-then-redo ladder every search path runs.  Unflagged sequences
-  are provably exact (clamping can only lower values, the first clamped
-  real cell pins that sequence's maximum at the limit, and a pad column
-  hands its neighbour a plain zero boundary either way).
-
-To keep int16/int8 intermediates in range the column prefix scan is tiled
-and *rebased*: each tile uses local gap-length weights ``1..w`` and carries
-a running maximum rebased to the tile boundary, floored at zero.  The
-floor is score-safe because a floored carry can only produce a gap score
-``-open - len*extend < 0``, which never beats the zero floor of ``H``.
-Likewise ``F`` is kept zero-floored (``max(F, 0)``), which is exact
-because ``H >= 0`` makes ``max(d+v, F, 0) == max(d+v, max(F, 0), 0)``.
+The horizontal gap is a *decay-doubling* scan (Snytsar's log-step scan):
+``T1[j] = h~[j-1] - go``, then ``T2s[j] = max(Ts[j], Ts[j-s] - Ds[j])``
+for ``s = 1, 2, 4, ...`` and ``E = T``.  ``Ds`` is ``s*ge``, or a
+barrier where a pad column lies in ``[j-s, j]``.  Every ``T`` stays at
+or above ``-go`` and never grows with the column index, so int8 needs
+no headroom beyond the clamp.  The scan stops at the row's *gap reach*:
+past it, a horizontal gap cannot lift ``H`` over its zero floor.
+``F`` is kept zero-floored (``max(F, 0)``), which is exact because
+``H >= 0`` makes ``max(d+v, F, 0) == max(d+v, max(F, 0), 0)``.
 
 Scores are bit-identical to :class:`~repro.core.scalar.ScalarEngine`; the
 conformance and fuzz suites assert this across matrices, gap models and
@@ -90,22 +83,18 @@ KERNEL_NAMES = ("python", "numpy")
 #: over many more lanes than the 8-lane AVX emulation.
 DEFAULT_LANES = {"python": 8, "numpy": 128}
 
-_WIDTH_DTYPES = {8: np.int8, 16: np.int16}
+#: The rungs, narrowest first; ``saturate_bits`` picks the first.
+_WIDTH_DTYPES = {8: np.int8, 16: np.int16, 64: np.int64}
 
-# Wide-path pad poison (same role as InterTaskEngine's): pads are tail
-# padding so they can never feed a real cell, the poison just keeps their
-# scores from mattering numerically.
+# Wide-path pad poison (same role as InterTaskEngine's): wide sweeps
+# give each sequence a lane, so pads are tail padding that never feeds
+# a real cell; the poison just keeps their scores from mattering.
 _PAD_SCORE_WIDE = np.int64(-(1 << 30))
 
-# Packed lanes (:func:`_pack_lanes`): no sweep holds more than
-# ``_SWEEP_CELLS`` padded database cells, which bounds the sweep's
-# temporaries (the SP planes alone take 25 x 2 bytes per cell at int16).
+# No sweep holds more than ``_SWEEP_CELLS`` padded database cells (twice
+# that at int8), which bounds the sweep's temporaries: the SP planes
+# alone take 25 x 2 bytes per cell at int16.
 _SWEEP_CELLS = 45056
-# A packed narrow sweep lowers its clamp to fit the segment offsets in
-# the dtype; lanes hold at most as many sequences as keep that clamp at
-# or above ``clamp // _CLAMP_FLOOR_DIV`` (6,143 at int16).  Scores above
-# a sweep's clamp are redone at full width like any saturated lane.
-_CLAMP_FLOOR_DIV = 4
 
 
 def lane_group_runs(residues: Sequence[int]) -> list[range]:
@@ -130,38 +119,37 @@ def lane_group_runs(residues: Sequence[int]) -> list[range]:
 
 
 def _pack_lanes(
-    lengths: Sequence[int] | np.ndarray, tile: int | None, segments: int
+    lengths: Sequence[int] | np.ndarray,
+    tile: int | None,
+    cells: int,
+    packed: bool = True,
 ) -> list[list[list[int]]]:
     """Lay a run's sequences end to end in packed lanes.
 
     Returns the run's sweeps; a sweep is a list of packed lanes, and a
     packed lane the sequences (indices into ``lengths``) laid in it,
     one pad column apart.  Sequences are taken longest first (SWIPE's
-    lane refill, planned up front): the first ``ceil(n / segments)``
-    open a lane each, and every later one joins the shortest lane that
-    still has room for it within one column tile and the
-    ``_SWEEP_CELLS`` cap and holds fewer than ``segments`` sequences,
-    or else opens a lane.  A sequence longer
-    than the tile keeps a lane to itself (the tiled path).  Lanes are
-    then swept longest first, each sweep trimmed to its first lane and
-    holding at most ``_SWEEP_CELLS`` padded cells; a multi-tile lane
-    never shares a sweep with a packed one.
+    lane refill, planned up front): the longest opens a lane, and every
+    later one joins the shortest lane that still has room for it within
+    one column tile and ``cells``, or else opens a lane.  A sequence
+    longer than that keeps a lane to itself (the tiled path), and with
+    ``packed=False`` every sequence does.  Lanes are then swept longest
+    first, each sweep trimmed to its first lane and holding at most
+    ``cells`` padded cells; a multi-tile lane never shares a sweep with
+    a packed one.  Zero lengths are left out: an empty lane scores 0
+    without a sweep.
     """
     sizes = np.asarray(lengths).tolist()
-    # Longest first; an empty lane scores 0 without a sweep.
     order = sorted(
         (g for g in range(len(sizes)) if sizes[g]), key=lambda g: -sizes[g]
     )
-    limit = min(tile or _SWEEP_CELLS, _SWEEP_CELLS)
-    alone = sum(sizes[g] > limit for g in order)
-    short = len(order) - alone
-    first = alone - (-short // segments)
+    limit = min(tile or cells, cells)
     lanes: list[list[int]] = []
     span: list[int] = []
     room: list[tuple[int, int]] = []  # (span, lane) of lanes with room
     for g in order:
         n = sizes[g]
-        if len(lanes) < first or not room or room[0][0] + 1 + n > limit:
+        if not room or room[0][0] + 1 + n > limit:
             lanes.append([g])
             span.append(n)
             p = len(lanes) - 1
@@ -169,7 +157,7 @@ def _pack_lanes(
             _, p = heapq.heappop(room)
             lanes[p].append(g)
             span[p] += 1 + n
-        if n <= limit and len(lanes[p]) < segments:
+        if packed and n <= limit:
             heapq.heappush(room, (span[p], p))
 
     def tiled(width: int) -> bool:
@@ -179,7 +167,7 @@ def _pack_lanes(
     for p in sorted(range(len(lanes)), key=lambda p: -span[p]):
         if (
             sweeps
-            and (len(sweeps[-1]) + 1) * width <= _SWEEP_CELLS
+            and (len(sweeps[-1]) + 1) * width <= cells
             and tiled(span[p]) == tiled(width)
         ):
             sweeps[-1].append(lanes[p])
@@ -191,13 +179,14 @@ def _pack_lanes(
 
 @dataclass
 class KernelStats:
-    """Counters for the two-tier width strategy (engine-local).
+    """Counters of the byte-first width ladder (engine-local).
 
-    ``narrow_sweeps`` and ``wide_sweeps`` count kernel sweeps: one per
-    packed sweep of a run at that width (:func:`_pack_lanes`), plus one
-    wide sweep per redo.  ``redo_groups`` counts runs with a redo.
-    ``redo_lanes`` is the counter the overflow tests assert on: it only
-    moves when a saturated sequence was actually redone at full width.
+    ``narrow_sweeps`` counts sweeps at a clamped width (int8 or int16)
+    and ``wide_sweeps`` sweeps at exact int64: one per packed sweep of a
+    run at its first rung, plus one per redo sweep.  ``redo_groups``
+    counts runs with a redo.  ``redo_lanes`` is the counter the overflow
+    tests assert on: it counts each sequence redone past its first rung
+    once, however many rungs it climbed.
     """
 
     narrow_sweeps: int = 0
@@ -212,25 +201,48 @@ class KernelStats:
 
 @dataclass(frozen=True)
 class _Prepared:
-    """Query/matrix-dependent tables shared across lane groups."""
+    """Query/matrix-dependent tables shared across lane groups.
 
-    ext_wide: np.ndarray
-    qp_wide: np.ndarray | None
-    ext_narrow: np.ndarray | None
-    qp_narrow: np.ndarray | None
+    ``tables`` maps each width the matrix fits (from ``saturate_bits``
+    up) to its extended score table and, in QP mode, its query rows.
+    """
+
+    tables: dict[int, tuple[np.ndarray, np.ndarray | None]]
     vmax: int
 
 
 @dataclass(frozen=True)
-class _Tier:
+class _Rung:
     """The sweep parameters of one arithmetic width."""
 
     table: np.ndarray
     qp: np.ndarray | None
     dtype: type
     clamp: int | None  # None: exact int64 arithmetic
-    tile: int | None  # column-tile width (None: untiled)
-    segments: int  # most sequences per packed lane
+    reach: int | None  # farthest gap that can lift H (None: unbounded)
+    cells: int  # padded cells per sweep
+
+
+def _narrow_clamp(info_max: int, vmax: int, qo: int, ge: int) -> int | None:
+    """The largest clamp whose gap scan stays in range, or ``None``.
+
+    The clamp ``C`` bounds ``h~`` by ``C + vmax <= info_max``, and every
+    scan candidate by ``T >= -go``.  A doubling step ``s`` runs only
+    below the reach cap ``(C + vmax - qo - 1) // ge`` and subtracts
+    ``s*ge``, so each step below the cap must keep ``-go - s*ge >=
+    -info_max``.  With ``step`` the largest power of two that does, the
+    cap may be at most ``2*step`` (at most 1 when no step fits), which
+    bounds ``C`` by ``(cap + 1)*ge + qo - vmax``.
+    """
+    go = qo + ge
+    if go > info_max:
+        return None
+    clamp = info_max - vmax
+    if ge:
+        most = (info_max - go) // ge
+        step = 1 << (most.bit_length() - 1) if most else 0
+        clamp = min(clamp, (max(2 * step, 1) + 1) * ge + qo - vmax)
+    return clamp if clamp >= 1 else None
 
 
 @register_engine
@@ -250,9 +262,10 @@ class VectorizedEngine(_LaneGroupEngine):
         Optional cap on the database-column tile width.  Results are
         identical for any value.
     saturate_bits:
-        Narrow compute width: 16 (default, also chosen for ``None``),
-        8, or 64 to disable the narrow tier and compute everything at
-        full width.
+        The first rung of the width ladder: 8 (default, also chosen for
+        ``None``) sweeps int8 first and redoes past its clamp at int16,
+        then int64; 16 starts at int16; 64 computes everything at full
+        width.  A rung the matrix or gap model does not fit is skipped.
     """
 
     name = "vectorized"
@@ -280,7 +293,7 @@ class VectorizedEngine(_LaneGroupEngine):
         self.lanes = lanes
         self.profile = ProfileKind.parse(profile)
         self.block_cols = block_cols
-        self.saturate_bits = 16 if saturate_bits is None else saturate_bits
+        self.saturate_bits = 8 if saturate_bits is None else saturate_bits
         self.stats = KernelStats()
 
     def runs(self, groups: Sequence[LaneGroup]) -> list[range]:
@@ -300,38 +313,42 @@ class VectorizedEngine(_LaneGroupEngine):
 
         Returns, per group, its exact per-lane scores and its redone
         lanes.  The run's sequences are swept as packed lanes
-        (:func:`_pack_lanes`) at the narrow width; sequences whose best
-        reached their sweep's clamp are redone at full width
-        (:meth:`_redo_wide`) and reported under their group, so callers
-        can account for them (``saturated_recomputed``).  When the
-        narrow tier cannot represent the matrix or gap model the run is
-        swept at full width, one sequence per lane, and nothing is
-        redone.
+        (:func:`_pack_lanes`) at the first rung; sequences whose best
+        reached a rung's clamp are redone at the next rung, each in a
+        lane of its own, and reported once under their group, so
+        callers can account for them (``saturated_recomputed``).
         """
         prep = _prepared if _prepared is not None else self._prepare(query, matrix)
-        tier = self._narrow_tier(prep, int(gaps.open), int(gaps.extend))
-        narrow = tier is not None
-        if not narrow:
-            tier = self._wide_tier(prep)
+        rungs = self._rungs(prep, int(gaps.open), int(gaps.extend))
         columns = [grp.codes[:, k] for grp in groups for k in range(grp.lanes)]
-        sizes = np.concatenate([grp.lengths for grp in groups]).tolist()
+        sizes = np.concatenate([grp.lengths for grp in groups])
         best = np.zeros(len(sizes), dtype=np.int64)
-        sat: list[int] = []
-        sweeps = _pack_lanes(sizes, tier.tile, tier.segments)
-        for lanes in sweeps:
-            seqs, got, clamp = self._sweep(
-                query, columns, sizes, lanes, gaps, prep, tier
+        todo, sat = sizes, []
+        for k, rung in enumerate(rungs):
+            sweeps = _pack_lanes(
+                todo, self.block_cols, rung.cells,
+                packed=k == 0 and rung.clamp is not None,
             )
-            best[seqs] = got
-            if narrow:
-                sat.extend(seqs[got >= clamp].tolist())
-        if narrow:
-            self.stats.narrow_sweeps += len(sweeps)
-        else:
-            self.stats.wide_sweeps += len(sweeps)
-        sat.sort()
-        if sat:
-            self._redo_wide(query, columns, sizes, gaps, prep, sat, best)
+            over: list[int] = []
+            for lanes in sweeps:
+                seqs, got = self._sweep(
+                    query, columns, sizes, lanes, gaps, rung
+                )
+                best[seqs] = got
+                if rung.clamp is not None:
+                    over.extend(seqs[got >= rung.clamp].tolist())
+            if rung.clamp is None:
+                self.stats.wide_sweeps += len(sweeps)
+            else:
+                self.stats.narrow_sweeps += len(sweeps)
+            if not over:
+                break
+            if k == 0:
+                sat = sorted(over)
+                self.stats.redo_groups += 1
+                self.stats.redo_lanes += len(sat)
+            todo = np.zeros_like(sizes)
+            todo[over] = sizes[over]
         out = []
         start = 0
         for grp in groups:
@@ -355,187 +372,123 @@ class VectorizedEngine(_LaneGroupEngine):
         return self.score_run(query, [group], matrix, gaps, _prepared=_prepared)[0]
 
     def _prepare(self, query: np.ndarray, matrix: SubstitutionMatrix) -> _Prepared:
-        """Batch-invariant tables: wide + (if representable) narrow."""
+        """Batch-invariant tables, one per width the matrix fits.
+
+        A narrow table's pad column scores the dtype minimum: its
+        diagonal input is at most the clamp, so ``h~`` there is the
+        zero-floored F.
+        """
         a = matrix.data.astype(np.int64)
         qidx = query.astype(np.intp)
-        pad_w = np.full((a.shape[0], 1), _PAD_SCORE_WIDE, dtype=np.int64)
-        ext_w = np.ascontiguousarray(np.concatenate((a, pad_w), axis=1))
-        qp_w = ext_w[qidx] if self.profile is ProfileKind.QUERY else None
-        ext_n = qp_n = None
-        if self.saturate_bits != 64:
-            dtype = _WIDTH_DTYPES[self.saturate_bits]
-            info = np.iinfo(dtype)
-            clamp = (int(info.max) * 3) // 4
-            vmax = int(a.max())
-            vmin = int(a.min())
-            # The matrix itself must be representable next to clamped H
-            # values; otherwise fall back to the wide tier silently.
-            if vmax <= int(info.max) - clamp and vmin >= -clamp:
-                pad_n = np.full((a.shape[0], 1), -clamp, dtype=np.int64)
-                ext_n = np.ascontiguousarray(
-                    np.concatenate((a, pad_n), axis=1).astype(dtype)
-                )
-                qp_n = ext_n[qidx] if self.profile is ProfileKind.QUERY else None
-        return _Prepared(
-            ext_wide=ext_w,
-            qp_wide=qp_w,
-            ext_narrow=ext_n,
-            qp_narrow=qp_n,
-            vmax=int(a.max()),
-        )
-
-    # ------------------------------------------------------------------
-    # two-tier helpers
-    # ------------------------------------------------------------------
-    def _narrow_tier(self, prep: _Prepared, qo: int, ge: int) -> _Tier | None:
-        """The narrow tier's sweep parameters, or ``None``.
-
-        The tile is the largest column-tile width keeping narrow
-        intermediates in range: ``h~ + w*ge <= info_max`` for the rebased
-        scan carry (``h~ <= clamp + vmax``) and ``qo + w*ge <= info_max``
-        for the gap-cost subtraction (``None``: untiled).  ``segments``
-        is the most sequences a packed lane may hold: the most that keep
-        a full tile's packed clamp (:meth:`_sweep`) at or above
-        ``clamp // _CLAMP_FLOOR_DIV``.  ``None`` means the matrix or gap
-        model cannot be computed narrowly at all.
-        """
-        if prep.ext_narrow is None:
-            return None
-        dtype = _WIDTH_DTYPES[self.saturate_bits]
-        info_max = int(np.iinfo(dtype).max)
-        clamp = (info_max * 3) // 4
-        if qo + ge > info_max:
-            return None
-        tile = self.block_cols
-        if ge:
-            width = min(
-                (info_max - clamp - prep.vmax) // ge, (info_max - qo) // ge
+        tables = {}
+        for bits, dtype in _WIDTH_DTYPES.items():
+            if bits < self.saturate_bits:
+                continue
+            pad = _PAD_SCORE_WIDE
+            if bits < 64:
+                info = np.iinfo(dtype)
+                if a.min() < info.min or a.max() >= info.max:
+                    continue
+                pad = info.min
+            pads = np.full((a.shape[0], 1), pad, dtype=np.int64)
+            ext = np.ascontiguousarray(
+                np.concatenate((a, pads), axis=1).astype(dtype)
             )
-            if width < 1:
-                return None
-            tile = min(width, tile or width)
-        room = info_max - qo - (tile or 0) * ge
-        floor = clamp // _CLAMP_FLOOR_DIV + max(prep.vmax, 0) + 1
-        return _Tier(
-            prep.ext_narrow, prep.qp_narrow, dtype, clamp, tile,
-            max(1, room // floor),
-        )
+            tables[bits] = (
+                ext, ext[qidx] if self.profile is ProfileKind.QUERY else None
+            )
+        return _Prepared(tables=tables, vmax=int(a.max()))
 
-    def _wide_tier(self, prep: _Prepared) -> _Tier:
-        """Exact int64 sweeps, one sequence per lane.
+    def _rungs(self, prep: _Prepared, qo: int, ge: int) -> list[_Rung]:
+        """The widths a run climbs, narrowest first, ending at int64.
 
-        Wide scores have no bound, so no segment offset is sized to keep
-        a horizontal gap from crossing a pad column.
+        A narrow rung runs when the matrix fits its dtype and the gap
+        model leaves a clamp of at least 1 (:func:`_narrow_clamp`).
         """
-        return _Tier(
-            prep.ext_wide, prep.qp_wide, np.int64, None, self.block_cols, 1
-        )
+        rungs = []
+        for bits, (table, qp) in prep.tables.items():
+            dtype = _WIDTH_DTYPES[bits]
+            clamp = reach = None
+            if bits < 64:
+                clamp = _narrow_clamp(
+                    int(np.iinfo(dtype).max), prep.vmax, qo, ge
+                )
+                if clamp is None:
+                    continue
+                if ge:
+                    reach = (clamp + prep.vmax - qo - 1) // ge
+            cells = 2 * _SWEEP_CELLS if bits == 8 else _SWEEP_CELLS
+            rungs.append(_Rung(table, qp, dtype, clamp, reach, cells))
+        return rungs
 
     def _sweep(
         self,
         query: np.ndarray,
         columns: list[np.ndarray],
-        sizes: list[int],
+        sizes: np.ndarray,
         lanes: list[list[int]],
         gaps: GapModel,
-        prep: _Prepared,
-        tier: _Tier,
-    ) -> tuple[np.ndarray, np.ndarray, int | None]:
+        rung: _Rung,
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Sweep the packed ``lanes`` of a run in one pass.
 
         ``columns[k]`` holds sequence ``k``'s codes and ``sizes[k]`` its
         length.  Returns the sequences swept (lane by lane, in lane
-        order), their best scores and the sweep's clamp.  A packed lane
-        holds its sequences one pad column apart.  The pad column scores
-        like a pad, so its H stays 0 and the next sequence starts as on
-        a fresh zero boundary.  Segment ``k`` of a lane (its pad column
-        included) adds ``k*B`` to both sides of the horizontal-gap scan,
-        so a gap from an earlier segment scores below zero and never
-        crosses a pad column.  ``B = clamp' + vmax + 1`` exceeds every
-        ``h~``; ``s`` segments in a lane of ``w`` columns need
-        ``s*B + w*ge + qo <= info_max`` and so set the sweep's clamp
-        ``clamp'``.  Only narrow sweeps pack (:meth:`_wide_tier`).
+        order) and their best scores.  A packed lane holds its sequences
+        one pad column apart; the sweep keeps each sequence's cells from
+        reaching its neighbours' (:meth:`_lane_sweep`).
         """
         seqs = np.array([g for lane in lanes for g in lane], dtype=np.intp)
-        qo, ge = int(gaps.open), int(gaps.extend)
         pad = self.alphabet.size
-        depth = max(len(lane) for lane in lanes)
         width = max(
-            sum(sizes[g] for g in lane) + len(lane) - 1 for lane in lanes
+            sum(int(sizes[g]) for g in lane) + len(lane) - 1 for lane in lanes
         )
-        clamp, offset, starts = tier.clamp, None, None
         codes = np.full((width, len(lanes)), pad, dtype=np.uint8)
-        if depth == 1:
-            for p, (g,) in enumerate(lanes):
-                codes[:sizes[g], p] = columns[g][:sizes[g]]
-        else:
-            vmax = max(prep.vmax, 0)
-            room = int(np.iinfo(tier.dtype).max) - qo - width * ge
-            clamp = min(clamp, room // depth - vmax - 1)
-            stride = clamp + vmax + 1
-            offset = np.zeros((width, len(lanes)), dtype=tier.dtype)
-            starts = []
-            for p, lane in enumerate(lanes):
-                pos = 0
-                for k, g in enumerate(lane):
-                    n = sizes[g]
-                    codes[pos:pos + n, p] = columns[g][:n]
-                    if k:
-                        offset[pos - 1:, p] += stride
-                    starts.append(p * width + pos)
-                    pos += n + 1
+        starts = []
+        for p, lane in enumerate(lanes):
+            pos = 0
+            for g in lane:
+                n = int(sizes[g])
+                codes[pos:pos + n, p] = columns[g][:n]
+                starts.append(p * width + pos)
+                pos += n + 1
+        packed = len(starts) > len(lanes)
         got = self._lane_sweep(
-            query, codes, codes < pad, tier.table, tier.qp,
-            qo, int(gaps.first_gap_cost), ge, tier.dtype, clamp,
-            max(1, min(tier.tile or width, width)), offset, starts,
+            query, codes, gaps, rung, starts if packed else None
         )
-        return seqs, got, clamp
-
-    def _redo_wide(
-        self,
-        query: np.ndarray,
-        columns: list[np.ndarray],
-        sizes: list[int],
-        gaps: GapModel,
-        prep: _Prepared,
-        sat: list[int],
-        scores: np.ndarray,
-    ) -> None:
-        """Recompute saturated sequences at full int64 width, in place.
-
-        Each saturated sequence gets a lane of its own; its packed
-        neighbours keep their exact narrow scores.
-        """
-        seqs, got, _ = self._sweep(
-            query, columns, sizes, [[g] for g in sat], gaps, prep,
-            self._wide_tier(prep),
-        )
-        scores[seqs] = got
-        self.stats.wide_sweeps += 1
-        self.stats.redo_groups += 1
-        self.stats.redo_lanes += len(sat)
+        return seqs, got
 
     # ------------------------------------------------------------------
     # the kernel
     # ------------------------------------------------------------------
     def _lane_sweep(
-        self, query, codes, mask, table, qp, qo, go, ge, dtype, clamp, width,
-        offset=None, starts=None,
+        self,
+        query: np.ndarray,
+        codes: np.ndarray,
+        gaps: GapModel,
+        rung: _Rung,
+        starts: list[int] | None = None,
     ) -> np.ndarray:
         """Tiled lane sweep; one numpy op chain per query row per tile.
 
-        ``table`` is the extended (pad-column) score table in ``dtype``;
-        ``qp`` its query-profile gather for QP mode.  ``clamp`` enables
-        saturating semantics (narrow tier); ``None`` computes exactly.
-        Boundary state carried between tiles: the H column left of the
-        tile (``col_in``/``col_out``) and the rebased prefix-scan carry,
-        making tiling bit-identical to a single full-width pass.
-        Packed lanes (:meth:`_sweep`) fit one tile and pass their segment
-        ``offset`` and flat lane-major segment ``starts``; the sweep then
-        returns each segment's best instead of each lane's.
+        ``rung`` supplies the extended (pad-column) score table in its
+        dtype, its query-profile gather for QP mode, and the clamp
+        (``None`` computes exactly).  Boundary state carried between
+        tiles: the H column left of the tile (``col_in``/``col_out``)
+        and the gap scan's carry, making tiling bit-identical to a
+        single full-width pass.  Packed lanes (:meth:`_sweep`) fit one
+        tile and pass their flat lane-major sequence ``starts``; the
+        sweep then returns each sequence's best instead of each lane's.
         """
         m = len(query)
         n_max, L = codes.shape
+        dtype, clamp, table, qp = rung.dtype, rung.clamp, rung.table, rung.qp
+        qo, ge, go = int(gaps.open), int(gaps.extend), int(gaps.first_gap_cost)
+        # 0-d operands in the sweep's dtype: a Python int operand costs a
+        # conversion per call, which small sweeps notice.
+        ge_, go_, qo_ = (np.array(x, dtype=dtype) for x in (ge, go, qo))
+        mask = codes < self.alphabet.size
+        width = min(self.block_cols or n_max, n_max)
         # ``np.take`` lays each residue's SP plane out contiguously;
         # ``table[:, codes]`` would stride every plane by the table rows.
         # Only the query's own residues get a plane: the planes are the
@@ -556,67 +509,69 @@ class VectorizedEngine(_LaneGroupEngine):
             u1 = min(u0 + width, n_max)
             w = u1 - u0
             mask_t = mask[u0:u1]
-            full = bool(mask_t.all())
             codes_t = codes[u0:u1].astype(np.intp) if sp is None else None
-            # Broadcast constants pre-tiled to (w, L): full-array ufunc
-            # calls vectorise better than column-vector broadcasts.
-            src_w = np.broadcast_to(
-                (np.arange(1, w, dtype=np.int64) * ge).astype(dtype)[:, None],
-                (max(w - 1, 0), L),
-            ).copy()
-            ecost = np.broadcast_to(
-                (qo + np.arange(1, w + 1, dtype=np.int64) * ge)
-                .astype(dtype)[:, None],
-                (w, L),
-            ).copy()
-            if offset is not None:
-                src_w += offset[u0:u1 - 1]
-                ecost += offset[u0:u1]
-            wexit = dtype(w * ge)
             shifts = []
             s = 1
-            while s < w:
+            while s < w and (rung.reach is None or s < rung.reach):
                 shifts.append(s)
                 s <<= 1
-            # ha/hb hold [H[i-1, u0-1], H[i-1, u0..u1-1]] so both the
-            # diagonal (hp[:-1]) and the up-neighbour (hp[1:]) are views.
-            ha = np.zeros((w + 1, L), dtype=dtype)
-            hb = np.zeros((w + 1, L), dtype=dtype)
+            # Packed lanes decay by an array: ``s*ge``, or the barrier
+            # where a pad column lies in [j-s, j].  The barrier drops a
+            # crossing candidate to at most C + vmax - info_max <= 0.
+            if starts is None:
+                decay = [np.array(s * ge, dtype=dtype) for s in shifts]
+            else:
+                decay = _barrier_decays(
+                    mask_t, shifts, ge, int(np.iinfo(dtype).max) - go, dtype
+                )
+            # hp holds [H[i-1, u0-1], H[i-1, u0..u1-1]] so both the
+            # diagonal (hp[:-1]) and the up-neighbour (hp[1:]) are views;
+            # row i's H overwrites it once both have been read.
+            hp = np.zeros((w + 1, L), dtype=dtype)
             fp = np.zeros((w, L), dtype=dtype)
             s1 = np.empty((w, L), dtype=dtype)
             t = np.empty((w, L), dtype=dtype)
-            t2 = np.empty((w, L), dtype=dtype)
+            back = np.empty((w, L), dtype=dtype)
             colmax = np.zeros((w, L), dtype=dtype)
             # Array operands for the floor and the clamp: numpy runs the
             # narrow maximum/minimum against a scalar in a scalar loop.
+            # The clamp is 0 on pad columns, so H stays 0 there.
             zero = np.zeros((w, L), dtype=dtype)
             if clamp is not None:
-                ceiling = np.full((w, L), clamp, dtype=dtype)
+                ceiling = np.zeros((w, L), dtype=dtype)
+                np.copyto(ceiling, dtype(clamp), where=mask_t)
             reach = w  # ge == 0 bounds nothing: full scan
+            # Every view the row loop reads is made once per tile: a
+            # slice costs about as much as a small ufunc call.
+            h, diag = hp[1:], hp[:-1]
+            src, dst = s1[:-1], t[1:]
+            steps = [
+                (s, t[:-s], back[s:], t[s:], d) for s, d in zip(shifts, decay)
+            ]
+            if sp is not None:
+                planes = [sp[k, u0:u1] for k in range(len(sp))]
+            t[0] = -go  # no gap source left of a lane
 
             for i in range(m):
-                v = sp[rows[i], u0:u1] if sp is not None else qp[i][codes_t]
-                hp, hn = ha, hb
+                v = planes[rows[i]] if sp is not None else qp[i][codes_t]
                 # f = max(H_up - go, f_prev - ge, 0)  — zero-floored F
-                np.subtract(fp, ge, out=fp)
-                np.subtract(hp[1:], go, out=s1)
+                np.subtract(fp, ge_, out=fp)
+                np.subtract(h, go_, out=s1)
                 np.maximum(fp, s1, out=fp)
                 np.maximum(fp, zero, out=fp)
                 # h~ = max(diag + v, f); f >= 0 supplies the zero floor
-                np.add(hp[:-1], v, out=s1)
+                np.add(diag, v, out=s1)
                 np.maximum(s1, fp, out=s1)
-                # E via rebased prefix scan: t[j] covers sources < u0+j.
-                # The scan is a double-buffered log-shift (Hillis-Steele):
-                # ``np.maximum.accumulate`` falls back to a scalar inner
-                # loop, and in-place shifted maxima trigger numpy's
-                # overlap buffering — two ping-pong buffers keep every
-                # step a full-speed non-overlapping ufunc call.
-                t[0] = carry[i] if multi else 0
-                if w > 1:
-                    np.add(s1[:-1], src_w, out=t[1:])
+                # E by decay-doubling: T1[j] = h~[j-1] - go (the carried
+                # column at j = 0), then T[j] = max(T[j], T[j-s] - D[j]).
+                # The shifted operand goes to its own buffer first, so
+                # every step is two non-overlapping ufunc calls.
+                if multi:
+                    np.subtract(carry[i], go_, out=t[0])
+                np.subtract(src, go_, out=dst)
                 # Gap reach: a source d columns back adds at most
                 # top - qo - d*ge, where top bounds every scanned source
-                # (this row's h~ and the carried column).  Shifts below
+                # (this row's h~ and the carried column).  Steps below
                 # ``reach`` cover every d <= reach; farther sources add
                 # at most 0, so they cannot lift H over its zero floor.
                 if ge:
@@ -624,31 +579,26 @@ class VectorizedEngine(_LaneGroupEngine):
                     if multi:
                         top = max(top, int(carry[i].max()))
                     reach = (top - qo - 1) // ge
-                for s in shifts:
+                for s, shifted, cand, tail, d in steps:
                     if s >= reach:
                         break
-                    np.maximum(t[s:], t[:-s], out=t2[s:])
-                    t2[:s] = t[:s]
-                    t, t2 = t2, t
+                    np.subtract(shifted, d, out=cand)
+                    np.maximum(tail, cand, out=tail)
                 if multi:
-                    # carry out of the tile, rebased to u1, zero-floored
-                    np.add(s1[-1], wexit, out=crow)
-                    np.maximum(crow, t[-1], out=crow)
-                    np.subtract(crow, wexit, out=crow)
-                    np.maximum(crow, zero[0], out=crow)
+                    # carry out of the tile: the best gap source for the
+                    # next tile's first column, gap opened at u1 - 1
+                    np.add(t[-1], qo_, out=crow)
+                    np.maximum(crow, s1[-1], out=crow)
                     carry[i] = crow
-                # H = max(h~, t - (qo + len*ge)), saturating if narrow
-                h = hn[1:]
-                np.subtract(t, ecost, out=h)
-                np.maximum(h, s1, out=h)
+                # H = max(h~, E), saturating if narrow
+                np.maximum(s1, t, out=h)
                 if clamp is not None:
                     np.minimum(h, ceiling, out=h)
                 np.maximum(colmax, h, out=colmax)
                 if multi:
-                    hn[0] = col_in[i + 1]
+                    hp[0] = col_in[i + 1]
                     col_out[i + 1] = h[-1]
-                ha, hb = hb, ha
-            if not full:
+            if clamp is None and not mask_t.all():
                 colmax = np.where(mask_t, colmax, 0)
             np.maximum(best, colmax.max(axis=0), out=best)
             if multi:
@@ -656,6 +606,27 @@ class VectorizedEngine(_LaneGroupEngine):
         if starts is not None:
             return np.maximum.reduceat(colmax.T.ravel(), starts)
         return best
+
+
+def _barrier_decays(
+    mask: np.ndarray, shifts: list[int], ge: int, barrier: int, dtype: type
+) -> list[np.ndarray]:
+    """Per doubling step ``s``, the decay of ``T[j-s]`` for ``j >= s``.
+
+    It is ``s*ge``, or ``barrier`` where a pad column (``~mask``) lies
+    in the closed interval ``[j-s, j]``.  The windows double with the
+    steps (``[j-2s, j]`` is ``[j-s, j]`` or ``[j-2s, j-s]``), built as
+    boolean arrays, so no wide temporary of sweep size is made.
+    """
+    pad = ~mask
+    win = pad[1:] | pad[:-1]
+    out = []
+    for s in shifts:
+        d = np.full(win.shape, s * ge, dtype=dtype)
+        np.copyto(d, dtype(barrier), where=win)
+        out.append(d)
+        win = win[s:] | win[:-s]
+    return out
 
 
 def make_intertask_engine(

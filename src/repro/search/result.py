@@ -51,10 +51,10 @@ class SearchResult:
     cells: int
     wall_seconds: float
     modeled_seconds: float | None = None
-    #: Sequences the numpy kernel redid at full width: those that passed
-    #: the narrow clamp, and those that reached a packed sweep's lower
-    #: clamp, which depends on their lane neighbours.  Only the latter
-    #: part can differ between lane widths or chunk sizes.
+    #: Sequences the numpy kernel redid past its first rung: those whose
+    #: exact score reached the first rung's clamp (116 at int8 for
+    #: BLOSUM62 10/2).  Each rung has one fixed clamp, so lane width, chunk
+    #: size and lane neighbours never change the count.
     saturated_recomputed: int = 0
     corrupted_redone: int = 0  # groups recomputed after a checksum mismatch
     #: Trace provenance, set when the search ran under an active tracer:

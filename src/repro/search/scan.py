@@ -142,8 +142,8 @@ def score_lane_groups(
     group's whole run, so a group's plan never depends on a fault.  An
     expired ``deadline`` raises before the next run.  Returns
     ``(positions, scores, saturated, redone, cells)``: each lane's
-    ``group.indices`` entry and its exact score, the lanes redone at
-    full width, the corruption redos and the cells scored.
+    ``group.indices`` entry and its exact score, the lanes redone past
+    the first rung, the corruption redos and the cells scored.
     """
     prepared = engine._prepare(query, matrix)
     positions: list[np.ndarray] = []

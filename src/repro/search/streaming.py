@@ -42,7 +42,8 @@ class StreamingResult:
     wall_seconds: float
     corrupted_redone: int = 0  # chunks recomputed after a checksum mismatch
     database_name: str = "<stream>"
-    #: Sequences the numpy kernel redid at full width (see
+    #: Sequences the numpy kernel redid past its first rung, the same
+    #: count as a resident scan's at any chunk size (see
     #: :attr:`~repro.search.SearchResult.saturated_recomputed`).
     saturated_recomputed: int = 0
 

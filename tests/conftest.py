@@ -23,10 +23,11 @@ def random_codes(rng: np.random.Generator, length: int) -> np.ndarray:
 
 
 def hot3000_matrix() -> SubstitutionMatrix:
-    """Match 3000, mismatch -2: forces the numpy kernel's int16 redo.
+    """Match 3000, mismatch -2: forces the numpy kernel's int64 redo.
 
-    Twelve identical residues score 36000, past the int16 clamp
-    (24575), while the reward still passes the narrow precheck.
+    The reward does not fit a byte, so the kernel starts at int16, whose
+    clamp is 32767 - 3000 = 29767; twelve identical residues score
+    36000, past it.
     """
     n = PROTEIN.size
     data = np.full((n, n), -2, dtype=np.int32)

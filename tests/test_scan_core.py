@@ -17,7 +17,9 @@ bugs the duplicated copies used to carry:
 * the tiered funnel runs inside the streaming loop and its root span
   covers the query word-table build;
 * lane groups merged into runs sweep the same plans serially, on the
-  pool at any chunk size, and under a corrupting fault plan.
+  pool at any chunk size, and under a corrupting fault plan;
+* ``saturated_recomputed`` is the number of sequences past the first
+  rung's clamp, whatever the lane width, chunking or pool.
 """
 
 from __future__ import annotations
@@ -262,11 +264,12 @@ class TestTieredFunnel:
 class TestRuns:
     def test_serial_pooled_and_faulted_scans_sweep_the_same_runs(self, db):
         # At 8 lanes the 34 lane groups merge into runs of 25, 8 and 1.
-        # Under HOT3000 a 3-residue query scores up to 9000: past the
-        # clamp of a sweep whose lanes hold 3 sequences, below the
-        # others'.  Which lanes hold 3 depends on the run, so the redo
-        # count matches only if every scan sweeps the same plans (one
-        # plan per group would redo 232 sequences, not 240).
+        # A pool task takes whole runs at any chunk size, so a pooled
+        # scan sweeps the serial scan's plans, also under a corrupting
+        # fault plan (a corruption redo sweeps the group's whole run).
+        # Under HOT3000 a 3-residue query scores at most 9000, below
+        # the fixed int16 clamp (29767), so nothing is redone whatever
+        # the plans.
         opts = SearchOptions(matrix=hot3000_matrix(), kernel="numpy", lanes=8)
         pipe = SearchPipeline(opts)
         runs = pipe.engine.runs(preprocess_database(db, lanes=8).groups)
@@ -277,7 +280,8 @@ class TestRuns:
             serial = SearchPipeline(opts.merged(injector=injector)).search(
                 query, db
             )
-            assert serial.saturated_recomputed == 240
+            assert serial.best_score() == 9000
+            assert serial.saturated_recomputed == 0
             if injector is not None:
                 assert serial.corrupted_redone > 0
             for chunk in (1, 3, None):
@@ -286,9 +290,55 @@ class TestRuns:
                     parallel_chunk_size=chunk,
                 ) as pooled:
                     par = pooled.search(query, db)
+                    tasks = pooled._backend.group_chunks(chunk)
+                # One task per run: a run-splitting chunking would give
+                # 34 tasks at chunk size 1 and 12 at 3.
+                assert [len(task) for task in tasks] == [25, 8, 1]
                 assert np.array_equal(par.scores, serial.scores)
                 assert par.saturated_recomputed == serial.saturated_recomputed
                 assert par.corrupted_redone == serial.corrupted_redone
             clean = pipe.search(query, db)
             assert np.array_equal(serial.scores, clean.scores)
             assert serial.saturated_recomputed == clean.saturated_recomputed
+
+
+class TestRedoCount:
+    """``saturated_recomputed`` counts the sequences past the first clamp.
+
+    Each rung has one fixed clamp, so lane width, chunk size and lane
+    neighbours never move the count.
+    """
+
+    def test_count_is_the_sequences_past_the_first_clamp(self, db):
+        # HOT3000 starts at int16 with clamp 32767 - 3000 = 29767.  The
+        # 12-residue query is a piece of record 11, which scores 36000;
+        # a record holding ten of its residues in order, gaps allowed,
+        # passes the clamp too.  Some records score between 6,143 and
+        # 24,575, below the clamp, and the lane width and the chunking
+        # change which neighbours share their lanes.
+        matrix = hot3000_matrix()
+        query = PROTEIN.decode(db.sequences[11][:12])
+        clamp = 32767 - 3000
+        counts = {}
+        for lanes in (8, 128):
+            opts = SearchOptions(matrix=matrix, kernel="numpy", lanes=lanes)
+            pipe = SearchPipeline(opts)
+            result = pipe.search(query, db)
+            assert result.saturated_recomputed == pipe.engine.stats.redo_lanes
+            between = (result.scores >= 6143) & (result.scores < 24575)
+            assert between.sum() > 1
+            counts[f"lanes={lanes}"] = result.saturated_recomputed
+            expected = int((result.scores >= clamp).sum())
+            for chunk in (16, 64, 256):
+                streamed = StreamingSearch(
+                    opts.merged(chunk_size=chunk)
+                ).search_database(query, db)
+                counts[f"lanes={lanes} chunk={chunk}"] = (
+                    streamed.saturated_recomputed
+                )
+            with SearchPipeline(opts, workers=2) as pooled:
+                counts[f"lanes={lanes} pooled"] = (
+                    pooled.search(query, db).saturated_recomputed
+                )
+        assert expected >= 1
+        assert counts == {key: expected for key in counts}

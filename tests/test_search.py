@@ -129,7 +129,7 @@ class TestSearchCorrectness:
         from repro.alphabet import PROTEIN
 
         # A match reward of 3000 lifts a 12-residue self-hit to 36000,
-        # past the numpy kernel's int16 clamp (24575).  The engine redoes
+        # past the numpy kernel's int16 clamp (29767).  The engine redoes
         # that lane at full width, and the pipeline counts exactly the
         # lanes the engine redid, serially and on the pool alike.
         n = PROTEIN.size

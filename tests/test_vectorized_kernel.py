@@ -2,15 +2,16 @@
 
 The vectorized kernel has three internal degrees of freedom that must
 never be observable in its output: the lane width (packing), the tile
-width (cache blocking of the rebased prefix scan), and the narrow
-arithmetic width (int8/int16 with saturating clamps plus full-width
-redo).  Every test here perturbs one of those knobs over a seeded grid
-and demands bit-identical scores against the scalar oracle.
+width (cache blocking of the gap scan), and the width ladder (int8 →
+int16 → int64 rungs with saturating clamps, each sequence past a clamp
+redone at the next rung).  Every test here perturbs one of those knobs
+over a seeded grid and demands bit-identical scores against the scalar
+oracle.
 
 Packed lanes lay several sequences end to end in one lane; they must
 score as if each sequence had a lane of its own
-(:class:`TestPackedLanes`).  Consecutive lane groups that fit one sweep
-share one packed plan (:class:`TestRuns`).
+(:class:`TestPackedLanes`, :class:`TestByteRung`).  Consecutive lane
+groups that fit one sweep share one packed plan (:class:`TestRuns`).
 
 The saturation tests force overflow on purpose — a homopolymer whose
 true score exceeds the int8 clamp, and a custom high-valued matrix that
@@ -22,6 +23,7 @@ misreports is a silent wrong answer.  Both failure modes are pinned.
 
 from __future__ import annotations
 
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -29,6 +31,7 @@ import pytest
 
 from repro.alphabet import PROTEIN
 from repro.core import VectorizedEngine, get_engine
+from repro.db import SequenceDatabase
 from repro.core.intertask import build_lane_groups
 from repro.core.vectorized import (
     _pack_lanes,
@@ -37,6 +40,7 @@ from repro.core.vectorized import (
 )
 from repro.exceptions import EngineError
 from repro.scoring import BLOSUM62, GapModel, SubstitutionMatrix
+from repro.search import SearchOptions, SearchPipeline
 from tests.conftest import STANDARD_RESIDUES, random_protein
 
 LANE_GRID = (1, 3, 8, 64)
@@ -162,10 +166,9 @@ class TestSaturationRedo:
 
     def test_int16_overflow_triggers_redo_and_stays_exact(self, gaps):
         # A synthetic matrix with match reward 3000: twelve identical
-        # residues score 36000, past the int16 clamp (24575), yet the
-        # reward still fits the narrow feasibility precheck
-        # (3000 <= 32767 - 24575), so the narrow path runs and must
-        # detect its own overflow.
+        # residues score 36000, past the int16 clamp (32767 - 3000 =
+        # 29767), yet the reward still fits int16, so the int16 rung
+        # runs and must detect its own overflow.
         n = PROTEIN.size
         data = np.full((n, n), -2, dtype=np.int32)
         np.fill_diagonal(data, 3000)
@@ -178,9 +181,9 @@ class TestSaturationRedo:
         batch = engine.score_batch(query, seqs, hot, gaps)
         np.testing.assert_array_equal(batch.scores, ref)
         assert engine.stats.redo_lanes > 0
-        # "ACD" (9000) shares a packed lane with "ACDEFGHIKLMN", whose
-        # sweep's lowered clamp it reaches, so it is redone too.
-        assert batch.saturated == [0, 1]
+        # "ACD" (9000) shares a packed lane with "ACDEFGHIKLMN" but
+        # stays below the fixed clamp, so it is not redone.
+        assert batch.saturated == [0]
 
     def test_full_width_never_saturates(self, blosum62, gaps):
         seqs = ["L" * 30, "ARN"]
@@ -287,12 +290,17 @@ class TestAccounting:
             ).score, f"sequence {i} misplaced by the lane scatter"
 
 
-def diag5_matrix():
-    """Diagonal 5, off-diagonal -4: a self-alignment of n residues is 5n."""
+def diag_matrix(match):
+    """Diagonal ``match``, off-diagonal -4."""
     n = PROTEIN.size
     data = np.full((n, n), -4, dtype=np.int32)
-    np.fill_diagonal(data, 5)
-    return SubstitutionMatrix("DIAG5", PROTEIN, data)
+    np.fill_diagonal(data, match)
+    return SubstitutionMatrix(f"DIAG{match}", PROTEIN, data)
+
+
+def diag5_matrix():
+    """Diagonal 5, off-diagonal -4: a self-alignment of n residues is 5n."""
+    return diag_matrix(5)
 
 
 def reach_case():
@@ -307,14 +315,18 @@ def reach_case():
     return prefix + suffix, prefix + filler + suffix, filler + suffix
 
 
-def packed_plan(engine, query, group, matrix, gaps):
-    """The engine's packed sweeps of ``group``, as ``score_group`` plans them."""
+def first_rung(engine, query, matrix, gaps):
+    """The rung ``score_run`` sweeps a run at first."""
     prep = engine._prepare(PROTEIN.encode(query), matrix)
-    tier = (
-        engine._narrow_tier(prep, gaps.open, gaps.extend)
-        or engine._wide_tier(prep)
+    return engine._rungs(prep, gaps.open, gaps.extend)[0]
+
+
+def packed_plan(engine, query, lengths, matrix, gaps):
+    """The first-rung sweeps ``score_run`` plans for ``lengths``."""
+    rung = first_rung(engine, query, matrix, gaps)
+    return _pack_lanes(
+        lengths, engine.block_cols, rung.cells, packed=rung.clamp is not None
     )
-    return _pack_lanes(group.lengths, tier.tile, tier.segments)
 
 
 def plan_fill(plan, lengths):
@@ -334,15 +346,16 @@ class TestReachAndSpans:
     reach a scan reach of 64 or more, nor a full sweep of padded cells.
     """
 
-    @pytest.mark.parametrize("bits", (16, 64))
+    @pytest.mark.parametrize("bits", (8, 16, 64))
     @pytest.mark.parametrize("block_cols", (None, 64, 400))
     def test_gap_exactly_at_reach_is_crossed(self, block_cols, bits):
         # The 105-residue prefix self-scores 525, so the scan reach at
         # its last row is (525 - 10 - 1) // 2 = 257, one past 2**8.  A
         # 257-residue filler gap costs 10 + 2*257 = 524, so crossing it
         # into the 120-residue suffix scores 601 against 600 for the
-        # suffix alone: a scan one shift short, or one that forgets the
-        # carried column across tiles, loses the crossing.
+        # suffix alone: a scan one step short, or one that forgets the
+        # carried column across tiles, loses the crossing.  At 8 bits
+        # the target passes the byte clamp and the int16 redo crosses.
         query, target, suffix_only = reach_case()
         matrix, gaps = diag5_matrix(), GapModel(10, 2)
         ref = scalar_scores(query, [target, suffix_only], matrix, gaps)
@@ -354,31 +367,34 @@ class TestReachAndSpans:
         assert int(got[0]) == 601
 
     def test_long_tail_group_is_swept_in_spans(self, blosum62, gaps):
-        # A long-tailed group packs at most 3 sequences a lane (BLOSUM62
-        # 10/2 at int16) into 2 sweeps at 81% fill, and stays exact.
+        # A long-tailed group (55,557 residues) packs into lanes as wide
+        # as a sweep allows: one byte sweep of 90,112 cells, or two
+        # int16 sweeps of 45,056, at 99.8% fill either way; it stays
+        # exact.
         rng = np.random.default_rng(7)
         lengths = np.geomspace(20, 2000, 128).astype(int)
         seqs = [random_protein(rng, int(n)) for n in lengths]
         query = random_protein(rng, 16)
         (group,) = build_lane_groups([PROTEIN.encode(s) for s in seqs], 128)
-        engine = VectorizedEngine(PROTEIN)
-        plan = packed_plan(engine, query, group, blosum62, gaps)
-        assert len(plan) == 2
-        assert max(len(lane) for lanes in plan for lane in lanes) == 3
-        assert round(plan_fill(plan, group.lengths), 2) == 0.81
-        scores, sat = engine.score_group(
-            PROTEIN.encode(query), group, blosum62, gaps
-        )
-        assert engine.stats.narrow_sweeps == 2
-        assert sat == []
         ref = scalar_scores(query, seqs, blosum62, gaps)
-        np.testing.assert_array_equal(scores, ref[group.indices])
+        for bits, sweeps in ((8, 1), (16, 2)):
+            engine = VectorizedEngine(PROTEIN, saturate_bits=bits)
+            plan = packed_plan(engine, query, group.lengths, blosum62, gaps)
+            assert len(plan) == sweeps
+            assert round(plan_fill(plan, group.lengths), 3) == 0.998
+            scores, sat = engine.score_group(
+                PROTEIN.encode(query), group, blosum62, gaps
+            )
+            assert engine.stats.narrow_sweeps == sweeps
+            assert sat == []
+            np.testing.assert_array_equal(scores, ref[group.indices])
 
     def test_saturation_in_a_later_span_is_redone(self, gaps):
-        # W scores 3000 against W; nine of them (27000) pass the int16
-        # clamp.  Only the ~750-residue sequence 100 carries them.  It
-        # shares a packed lane with shorter neighbours, and only it is
-        # redone: the neighbours keep their exact narrow scores.
+        # W scores 3000 against W, so the matrix starts at int16 with a
+        # clamp of 32767 - 3000 = 29767; ten W (30000) pass it.  Only
+        # the ~750-residue sequence 100 carries them.  It shares a
+        # packed lane with neighbours, and only it is redone (at int64):
+        # the neighbours keep their exact int16 scores.
         data = BLOSUM62.data.astype(np.int32).copy()
         w = PROTEIN.encode("W")[0]
         data[w, w] = 3000
@@ -390,11 +406,11 @@ class TestReachAndSpans:
             "".join(no_w[i] for i in rng.integers(0, 19, int(n)))
             for n in lengths
         ]
-        seqs[100] = seqs[100][:300] + "W" * 9 + seqs[100][309:]
-        query = "".join(no_w[i] for i in rng.integers(0, 19, 12)) + "W" * 9
+        seqs[100] = seqs[100][:300] + "W" * 10 + seqs[100][310:]
+        query = "".join(no_w[i] for i in rng.integers(0, 19, 12)) + "W" * 10
         engine = VectorizedEngine(PROTEIN, lanes=128)
         (group,) = build_lane_groups([PROTEIN.encode(s) for s in seqs], 128)
-        plan = packed_plan(engine, query, group, hot, gaps)
+        plan = packed_plan(engine, query, group.lengths, hot, gaps)
         (lane,) = [
             lane for lanes in plan for lane in lanes
             if 100 in group.indices[lane]
@@ -404,18 +420,20 @@ class TestReachAndSpans:
         np.testing.assert_array_equal(
             batch.scores, scalar_scores(query, seqs, hot, gaps)
         )
-        assert batch.scores[100] >= 27000
+        assert batch.scores[100] >= 30000
         assert batch.saturated == [100]
         assert engine.stats.redo_lanes == 1
         assert engine.stats.narrow_sweeps == 2
+        assert engine.stats.wide_sweeps == 1
 
 
 class TestPackedLanes:
     """Sequences laid end to end in one lane score as if alone.
 
     A packed lane holds its sequences one pad column apart: the pad
-    column keeps a diagonal or vertical path from crossing, and the
-    per-segment scan offsets keep a horizontal gap from crossing.
+    column keeps a diagonal or vertical path from crossing, and the gap
+    scan's barriers keep a horizontal gap from crossing.  Only a run's
+    first rung packs; int64 gives each sequence a lane.
     """
 
     def test_neighbours_in_one_lane_do_not_join(self, blosum62, gaps):
@@ -437,15 +455,17 @@ class TestPackedLanes:
         query = prefix + suffix
         seqs = [seq_l, seq_a, seq_b]
         ref = scalar_scores(query, seqs, blosum62, gaps)
-        assert ref[1] >= 80 and ref[2] >= 80
-        for bits in (16, 64):
+        assert 80 <= ref[1] < 116 and 80 <= ref[2] < 116
+        for bits in (8, 16, 64):
             engine = VectorizedEngine(PROTEIN, saturate_bits=bits)
             (group,) = build_lane_groups(
                 [PROTEIN.encode(s) for s in seqs], engine.lanes
             )
             a, b = (int(np.flatnonzero(group.indices == k)[0]) for k in (1, 2))
-            (lanes,) = packed_plan(engine, query, group, blosum62, gaps)
-            if bits == 16:
+            (lanes,) = packed_plan(
+                engine, query, group.lengths, blosum62, gaps
+            )
+            if bits < 64:
                 assert any(
                     lane[k:k + 2] == [a, b]
                     for lane in lanes for k in range(len(lane))
@@ -462,7 +482,7 @@ class TestPackedLanes:
 
     @pytest.mark.parametrize("block_cols", (None, 64))
     @pytest.mark.parametrize("profile", ("sequence", "query"))
-    @pytest.mark.parametrize("bits", (16, 64))
+    @pytest.mark.parametrize("bits", (8, 16, 64))
     @pytest.mark.parametrize(
         "gaps", (GapModel(10, 2), GapModel(3, 0), GapModel(0, 1)),
         ids=("10-2", "3-0", "0-1"),
@@ -470,9 +490,10 @@ class TestPackedLanes:
     def test_packed_groups_match_scalar(
         self, blosum62, gaps, bits, profile, block_cols
     ):
-        # At 16 bits 40 short sequences pack several to a lane, and 90
-        # and 150 residues pass a 64-column tile and keep lanes of their
-        # own (tiled path).  At 64 bits every sequence has its own lane.
+        # At 8 and 16 bits 40 short sequences pack several to a lane,
+        # and 90 and 150 residues pass a 64-column tile and keep lanes of
+        # their own (tiled path).  At 64 bits every sequence has its own
+        # lane.
         rng = np.random.default_rng(5)
         lengths = [*rng.integers(1, 60, 40), 90, 150]
         seqs = [random_protein(rng, int(n)) for n in lengths]
@@ -482,9 +503,9 @@ class TestPackedLanes:
             block_cols=block_cols,
         )
         (group,) = build_lane_groups([PROTEIN.encode(s) for s in seqs], 64)
-        plan = packed_plan(engine, query, group, blosum62, gaps)
+        plan = packed_plan(engine, query, group.lengths, blosum62, gaps)
         depth = max(len(lane) for lanes in plan for lane in lanes)
-        assert depth > 1 if bits == 16 else depth == 1
+        assert depth > 1 if bits < 64 else depth == 1
         got = engine.score_batch(query, seqs, blosum62, gaps).scores
         np.testing.assert_array_equal(
             got, scalar_scores(query, seqs, blosum62, gaps)
@@ -492,17 +513,18 @@ class TestPackedLanes:
 
     def test_gap_at_reach_inside_a_later_segment(self):
         # The reach-257 crossing of TestReachAndSpans, with the target
-        # packed behind a longer sequence: its offsets must cancel within
-        # the segment, so the crossing still scores 601.
+        # packed behind a longer sequence in an int16 sweep (601 passes
+        # the byte clamp): the barriers must only block gaps that cross
+        # the pad column, so the crossing still scores 601.
         query, target, _ = reach_case()
         rng = np.random.default_rng(1)
         opener = "".join("LKMFPSTWYV"[i] for i in rng.integers(0, 10, 600))
         matrix, gaps = diag5_matrix(), GapModel(10, 2)
-        engine = VectorizedEngine(PROTEIN)
+        engine = VectorizedEngine(PROTEIN, saturate_bits=16)
         (group,) = build_lane_groups(
             [PROTEIN.encode(s) for s in (opener, target)], engine.lanes
         )
-        (lanes,) = packed_plan(engine, query, group, matrix, gaps)
+        (lanes,) = packed_plan(engine, query, group.lengths, matrix, gaps)
         assert [list(group.indices[lane]) for lane in lanes] == [[0, 1]]
         scores, _ = engine.score_group(
             PROTEIN.encode(query), group, matrix, gaps
@@ -515,9 +537,9 @@ class TestPackedLanes:
         assert int(scores[group.indices == 1][0]) == 601
 
     def test_wide_scores_keep_a_lane_each(self, gaps):
-        # BLOSUM62 x 10^7 fails the narrow precheck, so the group runs at
+        # BLOSUM62 x 10^7 fits no narrow dtype, so the group runs at
         # full width, where no bound on the scores sizes a pad score or
-        # an offset.  Packed behind A, which reaches 1.1e9 (past 2^30),
+        # a barrier.  Packed behind A, which reaches 1.1e9 (past 2^30),
         # B would inherit a nonzero pad column and score about 1.36e8
         # instead of 1.1e8.
         matrix = SubstitutionMatrix(
@@ -533,12 +555,164 @@ class TestPackedLanes:
         (group,) = build_lane_groups(
             [PROTEIN.encode(s) for s in seqs], engine.lanes
         )
-        (lanes,) = packed_plan(engine, query, group, matrix, gaps)
+        (lanes,) = packed_plan(engine, query, group.lengths, matrix, gaps)
         assert all(len(lane) == 1 for lane in lanes), lanes
         batch = engine.score_batch(query, seqs, matrix, gaps)
         np.testing.assert_array_equal(batch.scores, ref)
         assert batch.saturated == []
         assert engine.stats.narrow_sweeps == 0
+
+
+FILLER = "AGSTPDEKNQR"  # every one scores below 0 against W in BLOSUM62
+
+
+class TestByteRung:
+    """int8 first: packed byte sweeps, redone past the byte clamp.
+
+    The byte clamp is the largest ``C <= 127 - vmax`` whose gap scan
+    stays in int8 (BLOSUM62: 116).  A pad column's H is held at 0, and
+    the scan's barriers stop a gap from crossing it however high its
+    left neighbour scored.
+    """
+
+    @pytest.mark.parametrize(
+        "gaps, clamp, steps",
+        ((GapModel(10, 2), 116, 32), (GapModel(11, 1), 116, 64),
+         (GapModel(3, 0), 116, None)),
+        ids=("10-2", "11-1", "3-0"),
+    )
+    def test_byte_clamp_and_steps(self, blosum62, gaps, clamp, steps):
+        rung = first_rung(VectorizedEngine(PROTEIN), "ACDEF", blosum62, gaps)
+        assert (rung.dtype, rung.clamp) == (np.int8, clamp)
+        # The largest doubling step below the reach cap, and its
+        # candidate's floor -go - s*ge, which must stay in int8.
+        if steps is None:
+            assert rung.reach is None  # ge == 0: every step, no decay
+        else:
+            assert 1 << (rung.reach - 1).bit_length() - 1 == steps
+            assert -gaps.first_gap_cost - steps * gaps.extend >= -127
+
+    def test_matrix_or_gaps_past_a_byte_start_at_int16(self, gaps):
+        engine = VectorizedEngine(PROTEIN)
+        hot = first_rung(engine, "ACD", diag_matrix(200), gaps)
+        assert hot.dtype == np.int16
+        # go = 130 > 127: no byte candidate can hold T1 = h~ - go.
+        wide_gap = first_rung(engine, "ACD", BLOSUM62, GapModel(120, 10))
+        assert wide_gap.dtype == np.int16
+
+    @pytest.mark.parametrize("profile", ("sequence", "query"))
+    def test_saturated_neighbour_does_not_lift_the_next(self, blosum62,
+                                                        gaps, profile):
+        # A ends in twelve W against a W query: its H clamps at 116 on
+        # the eleventh, so its last column holds h~ = 116 + 11 = 127,
+        # the most a byte holds.  B follows it in the same lane, one pad
+        # column later.  A gap crossing the pad would give B's first
+        # column 127 - 14 = 113, below the clamp, so B would keep that
+        # wrong score instead of its own 11.
+        seq_a = FILLER * 4 + "W" * 12
+        seq_b = "W" + FILLER
+        query = "W" * 12
+        seqs = [seq_a, seq_b]
+        ref = scalar_scores(query, seqs, blosum62, gaps)
+        assert list(ref) == [132, 11]
+        engine = VectorizedEngine(PROTEIN, profile=profile)
+        (group,) = build_lane_groups(
+            [PROTEIN.encode(s) for s in seqs], engine.lanes
+        )
+        (lanes,) = packed_plan(engine, query, group.lengths, blosum62, gaps)
+        assert [list(group.indices[lane]) for lane in lanes] == [[0, 1]]
+        batch = engine.score_batch(query, seqs, blosum62, gaps)
+        np.testing.assert_array_equal(batch.scores, ref)
+        assert batch.saturated == [0]
+
+    @pytest.mark.parametrize("profile", ("sequence", "query"))
+    @pytest.mark.parametrize(
+        "gaps",
+        (GapModel(10, 2), GapModel(11, 1), GapModel(5, 5), GapModel(3, 1),
+         GapModel(0, 1), GapModel(3, 0)),
+        ids=("10-2", "11-1", "5-5", "3-1", "0-1", "3-0"),
+    )
+    def test_gap_models_on_every_rung(self, blosum62, gaps, profile):
+        # Random neighbours and homolog-like pieces of the query, some
+        # past the byte clamp, packed several to a lane: exact on every
+        # first rung (ge = 0 runs every doubling step with no decay).
+        rng = np.random.default_rng(17)
+        query = random_protein(rng, 40)
+        seqs = []
+        for k in range(60):
+            if k % 4 == 0:
+                start = int(rng.integers(0, 20))
+                piece = list(query[start:start + int(rng.integers(10, 40))])
+                for i in np.flatnonzero(rng.random(len(piece)) < 0.2):
+                    piece[i] = STANDARD_RESIDUES[int(rng.integers(0, 20))]
+                seqs.append(
+                    random_protein(rng, int(rng.integers(0, 15)))
+                    + "".join(piece)
+                    + random_protein(rng, int(rng.integers(0, 15)))
+                )
+            else:
+                seqs.append(random_protein(rng, int(rng.integers(1, 90))))
+        ref = scalar_scores(query, seqs, blosum62, gaps)
+        assert (ref >= 116).any() and (ref < 116).any()
+        for bits in WIDTH_GRID:
+            engine = VectorizedEngine(
+                PROTEIN, lanes=16, saturate_bits=bits, profile=profile
+            )
+            batch = engine.score_batch(query, seqs, blosum62, gaps)
+            np.testing.assert_array_equal(
+                batch.scores, ref, err_msg=f"bits={bits}"
+            )
+            if bits == 8:
+                assert batch.saturated == list(np.flatnonzero(ref >= 116))
+
+    @pytest.mark.parametrize("bits", WIDTH_GRID)
+    def test_pads_on_tile_boundaries(self, blosum62, gaps, bits):
+        # At 64-column tiles a packed lane fills a tile exactly (40 and
+        # 23 residues, one pad column apart), and a multi-tile lane ends
+        # on a tile boundary (128 residues: its first pad column opens
+        # the third tile, beside a 150-residue lane).
+        rng = np.random.default_rng(23)
+        query = random_protein(rng, 30)
+        seqs = [random_protein(rng, n) for n in (40, 23, 128, 150, 12, 7)]
+        seqs[2] = query + seqs[2][len(query):]  # past the byte clamp
+        engine = VectorizedEngine(
+            PROTEIN, lanes=8, block_cols=64, saturate_bits=bits
+        )
+        (group,) = build_lane_groups(
+            [PROTEIN.encode(s) for s in seqs], engine.lanes
+        )
+        plan = packed_plan(engine, query, group.lengths, blosum62, gaps)
+        if bits < 64:
+            assert [
+                [group.indices[lane].tolist() for lane in lanes]
+                for lanes in plan
+            ] == [[[3], [2]], [[0, 1], [4, 5]]]
+        ref = scalar_scores(query, seqs, blosum62, gaps)
+        got = engine.score_batch(query, seqs, blosum62, gaps).scores
+        np.testing.assert_array_equal(got, ref)
+
+    def test_one_run_climbs_every_rung(self, blosum62, gaps):
+        # Against 3000 W, a sequence scores 11 per W of its one W run:
+        # below the byte clamp (116), between it and the int16 clamp
+        # (32767 - 11 = 32756), and past that (2990 W = 32890).  All
+        # share one run; each redone sequence counts once, though the
+        # longest climbs int8 -> int16 -> int64.
+        runs = [0, 3, 10, 20, 2990, 1]
+        seqs = [FILLER[:k % 7 + 2] + "W" * n + FILLER for k, n in
+                enumerate(runs)]
+        query = "W" * 3000
+        engine = VectorizedEngine(PROTEIN)
+        groups = build_lane_groups(
+            [PROTEIN.encode(s) for s in seqs], engine.lanes
+        )
+        assert engine.runs(groups) == [range(1)]
+        batch = engine.score_batch(query, seqs, blosum62, gaps)
+        np.testing.assert_array_equal(batch.scores, [11 * n for n in runs])
+        assert batch.saturated == [3, 4]
+        assert engine.stats.redo_lanes == 2
+        assert engine.stats.redo_groups == 1
+        assert engine.stats.narrow_sweeps == 2  # one packed, one int16
+        assert engine.stats.wide_sweeps == 1
 
 
 def swissprot_like_lengths(n):
@@ -550,13 +724,11 @@ def swissprot_like_lengths(n):
 
 def run_plans(engine, query, groups, matrix, gaps):
     """Per run of ``groups``: its lengths and its packed sweeps."""
-    prep = engine._prepare(PROTEIN.encode(query), matrix)
-    tier = engine._narrow_tier(prep, gaps.open, gaps.extend)
     plans = []
     for run in engine.runs(groups):
         lengths = np.concatenate([groups[g].lengths for g in run])
         plans.append(
-            (lengths, _pack_lanes(lengths, tier.tile, tier.segments))
+            (lengths, packed_plan(engine, query, lengths, matrix, gaps))
         )
     return plans
 
@@ -599,7 +771,8 @@ class TestRuns:
         # 409 Swiss-Prot-like records in a fixed shuffled order, streamed
         # in 256-record chunks at 128 lanes.  The two groups of a chunk
         # hold more than one sweep's residues together, so each group is
-        # a run of its own and keeps its own plan: 5 sweeps at 91% fill.
+        # a run of its own and keeps its own plan: 4 byte sweeps at
+        # 99.7% fill.
         lengths = swissprot_like_lengths(409)[
             np.random.default_rng(409).permutation(409)
         ]
@@ -617,6 +790,39 @@ class TestRuns:
                 sweeps += len(plan)
                 real += int(run_lengths.sum())
                 padded += run_lengths.sum() / plan_fill(plan, run_lengths)
-        assert sweeps == 5
-        assert round(real / padded, 2) == 0.91
+        assert sweeps == 4
+        assert round(real / padded, 3) == 0.997
 
+
+#: Traced peak of one search in :class:`TestMemory`: 3,627 KB measured
+#: with the byte-first ladder (3,460 KB with the int16 packed lanes it
+#: replaced), plus 5%.
+PEAK_ALLOCATION_CEILING_KB = 3808
+
+
+class TestMemory:
+    """The kernel's working memory, gated without timing the machine."""
+
+    def test_kernel_peak_allocation(self, blosum62, gaps):
+        # One exhaustive search over 800 Swiss-Prot-like sequences
+        # (299,187 residues) at 128 lanes: the largest byte sweeps hold
+        # 90,112 cells, whose SP planes, row buffers and barrier arrays
+        # make up most of the traced peak.
+        rng = np.random.default_rng(300)
+        lengths = swissprot_like_lengths(800)[rng.permutation(800)]
+        seqs = [rng.integers(0, 20, int(n)).astype(np.uint8) for n in lengths]
+        db = SequenceDatabase("mem", seqs, [f"r{k}" for k in range(800)])
+        assert db.total_residues == 299187
+        query = PROTEIN.decode(rng.integers(0, 20, 375).astype(np.uint8))
+        pipe = SearchPipeline(SearchOptions(
+            matrix=blosum62, gaps=gaps, kernel="numpy", lanes=128,
+        ))
+        pipe.search(query[:20], db)  # build caches outside the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pipe.search(query, db)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= PEAK_ALLOCATION_CEILING_KB * 1024, peak // 1024
